@@ -29,6 +29,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+#: The one header a points file may start with; also heads point-value CSVs
+_POINTS_HEADER = "x1,x2,xi1,xi2"
+
+
 class UsageError(ValueError):
     """Invalid arguments or malformed input files."""
 
@@ -58,7 +62,7 @@ def _write_grid_csv(path: str, xs, ys, values) -> None:
 
 def _write_points_csv(path: str, points, values) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("x1,x2,xi1,xi2,re,im\n")
+        fh.write(_POINTS_HEADER + ",re,im\n")
         for pt, v in zip(points, values):
             v = complex(v)
             coords = ",".join(_fmt(c) for c in pt)
@@ -86,13 +90,11 @@ def _read_points_file(path: str) -> list[tuple[float, float, float, float]]:
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
+            if not line or (lineno == 1 and line == _POINTS_HEADER):
                 continue
             parts = line.split(",")
-            if lineno == 1 and any(not _is_float(p) for p in parts):
-                continue  # tolerate a header line
             if len(parts) != 4 or any(not _is_float(p) for p in parts):
-                raise UsageError(f"points file line {lineno}: expected 'x1,x2,xi1,xi2', got {line!r}")
+                raise UsageError(f"points file line {lineno}: expected {_POINTS_HEADER!r}, got {line!r}")
             points.append(tuple(float(p) for p in parts))
     if not points:
         raise UsageError("points file contains no points")

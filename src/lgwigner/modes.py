@@ -314,12 +314,12 @@ def lg_field(index: ModeIndex) -> _LGField:
 def apply_operator_pointwise(
     op: LadderOp,
     f,
-    x: float,
-    y: float,
+    x,
+    y,
     mode: str = "finite_difference",
     step: float = DEFAULT_FD_STEP,
-) -> complex:
-    """Apply a ladder operator to a field at one point.
+) -> complex | np.ndarray:
+    """Apply a ladder operator to a field at a point or an array of points.
 
     Each operator is a first-order differential expression in (x, y); for
     example the circular raising operator acting on a field f is
@@ -333,13 +333,17 @@ def apply_operator_pointwise(
         Field ``f(x, y) -> complex``. In ``"analytic"`` mode it must be a
         basis field from :func:`hg_field` or :func:`lg_field` (anything
         exposing ``partial_x``/``partial_y``).
-    x, y : float
-        Evaluation point.
+    x, y : float or array_like
+        Evaluation points, broadcast against each other; ``f`` must
+        accept arrays when they are arrays. Scalar input returns a
+        ``complex``, array input an array of the broadcast shape.
     mode : {"finite_difference", "analytic"}
         How the partial derivatives are obtained. Central differences use
         ``step`` (default 1e-5, balancing truncation against rounding).
     """
     cx, cdx, cy, cdy = _OP_POINTWISE[op]
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if mode == "analytic":
         if not (hasattr(f, "partial_x") and hasattr(f, "partial_y")):
             raise ValueError("analytic mode requires an HG/LG basis field")
@@ -351,4 +355,7 @@ def apply_operator_pointwise(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     f0 = f(x, y)
-    return complex(cx * x * f0 + cdx * fx + cy * y * f0 + cdy * fy)
+    value = cx * x * f0 + cdx * fx + cy * y * f0 + cdy * fy
+    if np.ndim(value) == 0:
+        return complex(value)
+    return value

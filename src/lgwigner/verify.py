@@ -67,7 +67,12 @@ _SIGMA_TAGS = {"one": "one", "x": "x", "xi": "xi", "x2+xi2": "x2_plus_xi2"}
 
 @dataclass
 class CheckResult:
-    """Outcome of one named identity check."""
+    """Outcome of one named identity check.
+
+    ``elapsed_ms`` is the wall time of the computation behind the check.
+    Checks of one suite may share a computation; each of them then
+    reports the full wall time of that shared computation.
+    """
 
     name: str
     max_abs_err: float
@@ -89,17 +94,20 @@ class CheckResult:
 
 @dataclass
 class SuiteReport:
-    """All check results of one suite run, with the seed that produced it."""
+    """All check results of one suite run, with the seed and budget that
+    produced it."""
 
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
     passed: bool = True
     seed: int = 0
+    budget: str = "quick"
 
     def as_dict(self) -> dict:
         return {
             "suite": self.suite,
             "seed": self.seed,
+            "budget": self.budget,
             "passed": self.passed,
             "checks": [c.as_dict() for c in self.checks],
         }
@@ -122,6 +130,26 @@ def _timed(name: str, tol: float, fn) -> CheckResult:
 
 def _h(n: int):
     return lambda t, n=n: hermite_function(n, t)
+
+
+def _h_stack(degrees):
+    """Field returning ``h_d(t)`` for every entry ``d`` of an integer array,
+    stacked ahead of the shape of ``t``, so one oracle call covers them all."""
+    degrees = np.asarray(degrees)
+    top = int(degrees.max())
+    return lambda t: hermite_function_table(top, t)[degrees]
+
+
+def _hg_stack(j, k):
+    """Field ``F(u, v)[...] = h_j(u) h_k(v)`` for broadcasting index arrays."""
+    fj, fk = _h_stack(j), _h_stack(k)
+    return lambda u, v: fj(u) * fk(v)
+
+
+def _all_pairs(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (m, n) broadcasting to every pair ``m, n <= deg``."""
+    d = np.arange(deg + 1)
+    return d[:, None], d[None, :]
 
 
 def _hg_callable(j: int, k: int):
@@ -183,9 +211,9 @@ def _suite_properties(seed: int, quick: bool) -> list[CheckResult]:
         for _ in range(npairs):
             f = _superposition_1d(_random_coeffs(rng, deg + 1))
             g = _superposition_1d(_random_coeffs(rng, deg + 1))
-            pts = rng.uniform(-2.0, 2.0, size=(npts, 2))
-            for x, xi in pts:
-                worst = max(worst, abs(wigner1d(f, g, x, xi) - np.conj(wigner1d(g, f, x, xi))))
+            x, xi = rng.uniform(-2.0, 2.0, size=(npts, 2)).T
+            err = np.abs(wigner1d(f, g, x, xi) - np.conj(wigner1d(g, f, x, xi)))
+            worst = max(worst, err.max())
         return worst, npairs * npts
 
     checks.append(_timed("hermiticity", 1e-12, hermiticity))
@@ -194,45 +222,36 @@ def _suite_properties(seed: int, quick: bool) -> list[CheckResult]:
 
     def xi_marginal():
         xs = rng.uniform(-2.0, 2.0, size=2 if quick else 4)
-        worst = 0.0
-        for m in range(deg + 1):
-            for n in range(deg + 1):
-                grid = wigner1d_grid(_h(m), _h(n), xs, p_axis)
-                lhs = grid @ p_w
-                rhs = np.sqrt(2 * np.pi) * hermite_function(m, xs / SQRT2) * hermite_function(
-                    n, xs / SQRT2
-                )
-                worst = max(worst, np.abs(lhs - rhs).max())
-        return worst, (deg + 1) ** 2 * len(xs)
+        m, n = _all_pairs(deg)
+        lhs = wigner1d_grid(_h_stack(m), _h_stack(n), xs, p_axis) @ p_w
+        h = hermite_function_table(deg, xs / SQRT2)
+        rhs = np.sqrt(2 * np.pi) * h[:, None] * h[None, :]
+        return np.abs(lhs - rhs).max(), (deg + 1) ** 2 * len(xs)
 
     checks.append(_timed("xi_marginal", 1e-8, xi_marginal))
 
     def x_marginal():
         xis = rng.uniform(-2.0, 2.0, size=2 if quick else 4)
-        worst = 0.0
-        for m in range(deg + 1):
-            for n in range(deg + 1):
-                grid = wigner1d_grid(_h(m), _h(n), p_axis, xis)
-                lhs = p_w @ grid
-                # Fourier transform of each mode is itself times (-i)**degree
-                phase = (1j) ** m * (-1j) ** n
-                rhs = np.sqrt(2 * np.pi) * phase * hermite_function(
-                    m, xis / SQRT2
-                ) * hermite_function(n, xis / SQRT2)
-                worst = max(worst, np.abs(lhs - rhs).max())
-        return worst, (deg + 1) ** 2 * len(xis)
+        m, n = _all_pairs(deg)
+        lhs = p_w @ wigner1d_grid(_h_stack(m), _h_stack(n), p_axis, xis)
+        # Fourier transform of each mode is itself times (-i)**degree, so
+        # pair (m, n) picks up i**m (-i)**n = i**(m - n)
+        phase = 1j ** ((m - n) % 4)
+        h = hermite_function_table(deg, xis / SQRT2)
+        rhs = np.sqrt(2 * np.pi) * phase[..., None] * h[:, None] * h[None, :]
+        return np.abs(lhs - rhs).max(), (deg + 1) ** 2 * len(xis)
 
     checks.append(_timed("x_marginal", 1e-8, x_marginal))
 
     def total_integral():
         axis, w = _trap_axis(-12.0, 12.0, 256)
+        every_n = _h_stack(np.arange(deg + 1))
         worst = 0.0
+        # one row m per call keeps the (deg + 1) x 256 x 256 output small
         for m in range(deg + 1):
-            for n in range(deg + 1):
-                grid = wigner1d_grid(_h(m), _h(n), axis, axis)
-                total = w @ grid @ w
-                expect = 2.0 * np.sqrt(np.pi) if m == n else 0.0
-                worst = max(worst, abs(total - expect))
+            totals = w @ wigner1d_grid(_h(m), every_n, axis, axis) @ w
+            expect = 2.0 * np.sqrt(np.pi) * (np.arange(deg + 1) == m)
+            worst = max(worst, np.abs(totals - expect).max())
         return worst, (deg + 1) ** 2
 
     checks.append(_timed("total_integral", 1e-7, total_integral))
@@ -244,19 +263,12 @@ def _suite_moyal(seed: int, quick: bool) -> list[CheckResult]:
 
     def moyal():
         axis, w = _trap_axis(-10.0, 10.0, 201)
-        pairs = [(a, b) for a in range(deg + 1) for b in range(deg + 1)]
-        grids = {}
-        for a, b in pairs:
-            grids[a, b] = wigner1d_grid(_h(a), _h(b), axis, axis)
-        w2 = np.outer(w, w)
-        worst = 0.0
-        for a, b in pairs:
-            left = np.conj(grids[a, b]) * w2
-            for c, d in pairs:
-                ip = np.sum(left * grids[c, d])
-                expect = 1.0 if (a == c and b == d) else 0.0
-                worst = max(worst, abs(ip - expect))
-        return worst, len(pairs) ** 2
+        # row (a, b) holds W(h_a, h_b) flattened, so the weighted Gram
+        # matrix of the rows must be the identity on index pairs
+        a, b = _all_pairs(deg)
+        grids = wigner1d_grid(_h_stack(a), _h_stack(b), axis, axis).reshape((deg + 1) ** 2, -1)
+        gram = (np.conj(grids) * np.outer(w, w).ravel()) @ grids.T
+        return np.abs(gram - np.eye(len(grids))).max(), len(grids) ** 2
 
     return [_timed("moyal_kronecker", 1e-8, moyal)]
 
@@ -304,27 +316,26 @@ _INTERTWINE_PAIRS = (
 def _suite_intertwine(seed: int, quick: bool) -> list[CheckResult]:
     cap = 3 if quick else 4
     npts = 8 if quick else 50
+    j, k = _all_pairs(cap)
+    transformed = lambda x, y: extended_wigner(_hg_stack(j, k), x, y)
     checks = []
     for tag, (name, circ_op, cart_op) in enumerate(_INTERTWINE_PAIRS):
 
         def one_pair(circ_op=circ_op, cart_op=cart_op, tag=tag):
             rng = np.random.default_rng([seed, 4, tag])
-            pts = rng.uniform(-2.0, 2.0, size=(npts, 2))
-            worst = 0.0
-            for j in range(cap + 1):
-                for k in range(cap + 1):
-                    hg = _hg_callable(j, k)
-                    transformed = lambda x, y, hg=hg: extended_wigner(hg, x, y)
-                    coeff, target = ladder_index_action(cart_op, ModeIndex.hg(j, k))
-                    if target is ANNIHILATED:
-                        rhs_fn = lambda x, y: 0.0
-                    else:
-                        tgt = _hg_callable(target.first, target.second)
-                        rhs_fn = lambda x, y, tgt=tgt, c=coeff: c * extended_wigner(tgt, x, y)
-                    for x, y in pts:
-                        lhs = apply_operator_pointwise(circ_op, transformed, x, y)
-                        worst = max(worst, abs(lhs - rhs_fn(x, y)))
-            return worst, (cap + 1) ** 2 * npts
+            xs, ys = rng.uniform(-2.0, 2.0, size=(npts, 2)).T
+            lhs = apply_operator_pointwise(circ_op, transformed, xs, ys)
+            # index-space action on every HG(j, k); an annihilated mode
+            # keeps coefficient 0 and any valid target
+            coeff = np.zeros((cap + 1, cap + 1))
+            tj, tk = np.zeros_like(coeff, dtype=int), np.zeros_like(coeff, dtype=int)
+            for a in range(cap + 1):
+                for b in range(cap + 1):
+                    c, target = ladder_index_action(cart_op, ModeIndex.hg(a, b))
+                    if target is not ANNIHILATED:
+                        coeff[a, b], tj[a, b], tk[a, b] = c, target.first, target.second
+            rhs = coeff[..., None] * extended_wigner(_hg_stack(tj, tk), xs, ys)
+            return np.abs(lhs - rhs).max(), (cap + 1) ** 2 * npts
 
         checks.append(_timed(name, 1e-6, one_pair))
     return checks
@@ -337,12 +348,13 @@ def _suite_closedforms(seed: int, quick: bool) -> list[CheckResult]:
     checks = []
 
     def closed_vs_quadrature():
+        m, n = _all_pairs(cap)
+        quad_grids = wigner1d_grid(_h_stack(m), _h_stack(n), xs, xs)
         worst = 0.0
         for j in range(cap + 1):
             for k in range(cap + 1):
-                quad_grid = wigner1d_grid(_h(j), _h(k), xs, xs)
                 closed = wigner_hermite_closed(j, k, mesh_x, mesh_y)
-                worst = max(worst, np.abs(quad_grid - closed).max())
+                worst = max(worst, np.abs(quad_grids[j, k] - closed).max())
         return worst, (cap + 1) ** 2 * xs.size**2
 
     checks.append(_timed("hermite_closed_vs_quadrature", 1e-8, closed_vs_quadrature))
@@ -361,12 +373,12 @@ def _suite_closedforms(seed: int, quick: bool) -> list[CheckResult]:
     def hg_to_lg():
         cap2 = 3 if quick else 6
         sample = np.linspace(-3.0, 3.0, 11)
+        transformed = extended_wigner_grid(_hg_stack(*_all_pairs(cap2)), sample, sample)
         worst = 0.0
         for j in range(cap2 + 1):
             for k in range(cap2 + 1):
-                transformed = extended_wigner_grid(_hg_callable(j, k), sample, sample)
                 reference = lg_mode(ModeIndex.lg(j, k), sample[:, None], sample[None, :])
-                worst = max(worst, np.abs(transformed - reference).max())
+                worst = max(worst, np.abs(transformed[j, k] - reference).max())
         return worst, (cap2 + 1) ** 2 * sample.size**2
 
     checks.append(_timed("extended_wigner_maps_hg_to_lg", 1e-9, hg_to_lg))
@@ -547,36 +559,46 @@ def _weyl_sigma_grid(sigma: str, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
 _WEYL_OUTER = QuadratureSpec(12.0, 240)
 
 
-def _weyl_pair_values(f_deg: int, g_deg: int, quad: QuadratureSpec):
-    """Both pairing pipelines, for every supported symbol at once.
+def _weyl_errors(pairs, quad: QuadratureSpec) -> dict[str, np.ndarray]:
+    """Per symbol, the pairing error of each ``(f, g)`` degree pair.
 
-    Left: triple trapezoid quadrature of the quantization kernel applied
-    to mode g, paired with mode f. Organized per frequency node with the
-    polynomial symbol expanded into separable terms, so the work is a few
-    matrix products rather than an N**3 loop; the values are the same
-    sums reassociated. Right: the symbol integrated against the
-    quadrature Wigner transform of the pair.
+    Left pipeline: triple trapezoid quadrature of the quantization kernel
+    applied to mode g, paired with mode f. Organized per frequency node
+    with the polynomial symbol expanded into separable terms, so the work
+    is a few matrix products rather than an N**3 loop; the values are the
+    same sums reassociated. Right pipeline: the symbol integrated against
+    the quadrature Wigner transform of the pair. The error is the
+    distance between the two; for ``"one"`` it also covers each side's
+    distance from the Kronecker delta of the degrees, since quantizing
+    the constant symbol gives the identity. Every pair shares one
+    moment computation and one batched oracle call.
     """
+    f_deg, g_deg = np.array(pairs).T
+    f_h, g_h = _h_stack(f_deg), _h_stack(g_deg)
     x, w = quad.grid()
     phases = np.exp(1j * np.outer(x, x) / SQRT2)
-    f_vals = hermite_function(f_deg, x)
-    g_vals = hermite_function(g_deg, x)
+    f_vals = f_h(x)
+    g_vals = g_h(x)
     f_mom = {m: (w * f_vals * x**m) @ phases for m in (0, 1, 2)}
     g_mom = {m: (w * g_vals * x**m) @ np.conj(phases) for m in (0, 1, 2)}
 
     outer_x, outer_w = _WEYL_OUTER.grid()
-    wig = wigner1d_grid(_h(f_deg), _h(g_deg), outer_x, outer_x, quad)
+    wig = wigner1d_grid(f_h, g_h, outer_x, outer_x, quad)
+    delta = (f_deg == g_deg).astype(float)
 
-    results = {}
+    errors = {}
     for sigma in SIGMA_SYMBOLS:
         left = 0.0
         for phi, mf, mg, coeff in _weyl_sigma_terms(sigma, x):
-            left = left + coeff * np.sum(w * phi * f_mom[mf] * g_mom[mg])
+            left = left + coeff * np.sum(w * phi * f_mom[mf] * g_mom[mg], axis=-1)
         left *= 2.0**-1.5 / np.pi
         sig = _weyl_sigma_grid(sigma, outer_x, outer_x)
         right = 0.5 / np.sqrt(np.pi) * (outer_w @ (sig * wig) @ outer_w)
-        results[sigma] = (complex(left), complex(right))
-    return results
+        err = np.abs(left - right)
+        if sigma == "one":
+            err = np.max([err, np.abs(left - delta), np.abs(right - delta)], axis=0)
+        errors[sigma] = err
+    return errors
 
 
 def weyl_pairing_check(
@@ -595,12 +617,7 @@ def weyl_pairing_check(
     quad = quad if quad is not None else DEFAULT_QUAD
 
     def compute():
-        left, right = _weyl_pair_values(f, g, quad)[sigma]
-        err = abs(left - right)
-        if sigma == "one":
-            delta = 1.0 if f == g else 0.0
-            err = max(err, abs(left - delta), abs(right - delta))
-        return err, 1
+        return _weyl_errors([(f, g)], quad)[sigma][0], 1
 
     return _timed(f"weyl_pairing_{_SIGMA_TAGS[sigma]}_f{f}_g{g}", 1e-6, compute)
 
@@ -609,28 +626,15 @@ def _suite_weyl(seed: int, quick: bool) -> list[CheckResult]:
     cap = 3 if quick else 4
     pairs = [(f, g) for f in range(cap + 1) for g in range(cap + 1)]
     t0 = time.perf_counter()
-    errs = dict.fromkeys(SIGMA_SYMBOLS, 0.0)
-    for f_deg, g_deg in pairs:
-        values = _weyl_pair_values(f_deg, g_deg, DEFAULT_QUAD)
-        for sigma, (left, right) in values.items():
-            err = abs(left - right)
-            if sigma == "one":
-                delta = 1.0 if f_deg == g_deg else 0.0
-                err = max(err, abs(left - delta), abs(right - delta))
-            errs[sigma] = max(errs[sigma], err)
-    # the four checks share one computation; split the wall time evenly
-    elapsed = (time.perf_counter() - t0) * 1000.0 / len(SIGMA_SYMBOLS)
-    return [
-        CheckResult(
-            f"weyl_pairing_{_SIGMA_TAGS[sigma]}",
-            float(errs[sigma]),
-            1e-6,
-            errs[sigma] <= 1e-6,
-            len(pairs),
-            elapsed,
-        )
-        for sigma in SIGMA_SYMBOLS
-    ]
+    errors = _weyl_errors(pairs, DEFAULT_QUAD)
+    # the four checks share this one computation; each reports all of it
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    results = []
+    for sigma in SIGMA_SYMBOLS:
+        err = float(errors[sigma].max())
+        name = f"weyl_pairing_{_SIGMA_TAGS[sigma]}"
+        results.append(CheckResult(name, err, 1e-6, err <= 1e-6, len(pairs), elapsed))
+    return results
 
 
 _BEAM_CASES = ((0, 0), (1, 2), (2, -1), (0, 3), (2, 0))
@@ -763,4 +767,5 @@ def run_suite(name: str, seed: int = 0, budget: str = "quick") -> SuiteReport:
         checks=checks,
         passed=all(c.passed for c in checks),
         seed=seed,
+        budget=budget,
     )

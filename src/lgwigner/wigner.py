@@ -171,54 +171,118 @@ class Grid2D:
 # quadrature oracles
 
 
-def wigner1d(f, g, x: float, xi: float, quad: QuadratureSpec | None = None) -> complex:
+def _complex_or_array(value: np.ndarray) -> complex | np.ndarray:
+    return complex(value) if np.ndim(value) == 0 else value
+
+
+def wigner1d(f, g, x, xi, quad: QuadratureSpec | None = None) -> complex | np.ndarray:
     """One-dimensional Wigner transform W(f, g)(x, xi) by quadrature.
 
     ``f`` and ``g`` must accept numpy arrays and be negligible outside
     ``[-(|x| + half_width)/sqrt2, (|x| + half_width)/sqrt2]`` for the
-    truncation to be harmless.
+    truncation to be harmless. ``x`` and ``xi`` may be arrays of points,
+    broadcast against each other; scalar input returns a ``complex``.
     """
     quad = _check_quad(quad)
     p, w = quad.grid()
+    x, xi = (a[..., None] for a in np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float)))
     vals = np.conj(f((x + p) / SQRT2)) * g((x - p) / SQRT2)
-    acc = np.sum(w * np.exp(1j * p * xi) * vals)
-    return complex(acc / np.sqrt(_TWO_PI))
+    acc = np.sum(w * np.exp(1j * p * xi) * vals, axis=-1)
+    return _complex_or_array(acc / np.sqrt(_TWO_PI))
+
+
+#: Largest number of elements an oracle temporary may hold (one 1024 x 1024
+#: array); the grid oracles evaluate their rows in blocks sized to fit.
+_BLOCK_ELEMENTS = 1024 * 1024
+
+
+def _integrate_rows(integrand, xs: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """``integrand(rows) @ phase / sqrt(2 pi)`` for every row of ``xs``.
+
+    ``integrand`` maps a block of ``xs`` to weighted integrand samples of
+    shape ``batch + (len(block), nodes)``; each block is flattened into a
+    single matrix product with the ``(nodes, columns)`` phase matrix, and
+    the result has shape ``batch + (len(xs), columns)``. The first block
+    is one row, whose size sets the rows per block for the rest.
+    """
+    nodes, columns = phase.shape
+    # a real block times the interleaved real and imaginary parts of the
+    # phase is the complex product, at half the work of promoting the block
+    phase_parts = phase.view(float)
+    out = None
+    start, rows = 0, 1
+    while start < xs.size:
+        stop = min(start + rows, xs.size)
+        amp = integrand(xs[start:stop])
+        amp = np.broadcast_to(amp, np.broadcast_shapes(amp.shape, (stop - start, nodes)))
+        batch = amp.shape[:-2]
+        if out is None:
+            out = np.empty(batch + (xs.size, columns), dtype=complex)
+            rows = max(1, _BLOCK_ELEMENTS // amp.size)
+        if np.iscomplexobj(amp):
+            block = amp.reshape(-1, nodes) @ phase
+        else:
+            block = (amp.reshape(-1, nodes) @ phase_parts).view(complex)
+        out[..., start:stop, :] = block.reshape(batch + (stop - start, columns))
+        start = stop
+    out /= np.sqrt(_TWO_PI)
+    return out
 
 
 def wigner1d_grid(f, g, xs, xis, quad: QuadratureSpec | None = None) -> np.ndarray:
     """W(f, g) on the tensor grid ``xs x xis``, shape (len(xs), len(xis)).
 
-    Same quadrature as :func:`wigner1d`, evaluated as one matrix product
-    so large grids stay cheap.
+    Same quadrature as :func:`wigner1d`, evaluated as matrix products
+    against one phase matrix so large grids stay cheap. ``f`` and ``g``
+    may return stacks with leading batch axes, which broadcast against
+    each other and lead the output shape: with
+    ``f = lambda t: hermite_function_table(d, t)[:, None]`` and ``g`` the
+    same with ``[None, :]``, ``out[m, n]`` is W(h_m, h_n) for every pair.
     """
     quad = _check_quad(quad)
     p, w = quad.grid()
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    amp = np.conj(f((xs[:, None] + p[None, :]) / SQRT2))
-    amp = amp * g((xs[:, None] - p[None, :]) / SQRT2) * w[None, :]
     phase = np.exp(1j * p[:, None] * xis[None, :])
-    return (amp @ phase) / np.sqrt(_TWO_PI)
+
+    def integrand(rows):
+        x = rows[:, None]
+        return np.conj(f((x + p) / SQRT2)) * g((x - p) / SQRT2) * w
+
+    return _integrate_rows(integrand, xs, phase)
 
 
-def extended_wigner(F, x: float, y: float, quad: QuadratureSpec | None = None) -> complex:
-    """Extended Wigner transform of a function of two variables, pointwise."""
+def extended_wigner(F, x, y, quad: QuadratureSpec | None = None) -> complex | np.ndarray:
+    """Extended Wigner transform of a function of two variables, pointwise.
+
+    ``x`` and ``y`` may be arrays of points, broadcast against each other;
+    scalar input returns a ``complex``.
+    """
     quad = _check_quad(quad)
     p, w = quad.grid()
+    x, y = (a[..., None] for a in np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float)))
     vals = F((x + p) / SQRT2, (x - p) / SQRT2)
-    acc = np.sum(w * np.exp(1j * p * y) * vals)
-    return complex(acc / np.sqrt(_TWO_PI))
+    acc = np.sum(w * np.exp(1j * p * y) * vals, axis=-1)
+    return _complex_or_array(acc / np.sqrt(_TWO_PI))
 
 
 def extended_wigner_grid(F, xs, ys, quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Extended Wigner transform sampled on ``xs x ys`` by quadrature."""
+    """Extended Wigner transform sampled on ``xs x ys`` by quadrature.
+
+    ``F`` may return a stack with leading batch axes, as in
+    :func:`wigner1d_grid`; the output shape is ``batch + (len(xs), len(ys))``.
+    """
     quad = _check_quad(quad)
     p, w = quad.grid()
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    amp = F((xs[:, None] + p[None, :]) / SQRT2, (xs[:, None] - p[None, :]) / SQRT2) * w[None, :]
     phase = np.exp(1j * p[:, None] * ys[None, :])
-    return (amp @ phase) / np.sqrt(_TWO_PI)
+
+    def integrand(rows):
+        x = rows[:, None]
+        return F((x + p) / SQRT2, (x - p) / SQRT2) * w
+
+    return _integrate_rows(integrand, xs, phase)
 
 
 def wigner2d(f, g, point: PhasePoint4, quad: QuadratureSpec | None = None) -> complex:
@@ -226,7 +290,9 @@ def wigner2d(f, g, point: PhasePoint4, quad: QuadratureSpec | None = None) -> co
 
     Tensor-product trapezoid rule over the truncated square; with the
     default spec this is about a million evaluations of each field, so it
-    is meant for isolated points, not grids.
+    is meant for isolated points, not grids. The phase factor is
+    separable, so it is applied as two weighted vectors around the
+    field products.
     """
     quad = _check_quad(quad)
     p, w = quad.grid()
@@ -234,8 +300,7 @@ def wigner2d(f, g, point: PhasePoint4, quad: QuadratureSpec | None = None) -> co
     p2 = p[None, :]
     vals = np.conj(f((point.x1 + p1) / SQRT2, (point.x2 + p2) / SQRT2))
     vals = vals * g((point.x1 - p1) / SQRT2, (point.x2 - p2) / SQRT2)
-    vals = vals * np.exp(1j * (p1 * point.xi1 + p2 * point.xi2))
-    acc = w @ vals @ w
+    acc = (w * np.exp(1j * p * point.xi1)) @ vals @ (w * np.exp(1j * p * point.xi2))
     return complex(acc / _TWO_PI)
 
 

@@ -111,6 +111,24 @@ def test_wigner_malformed_points_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("1,2,3,oops\n0.5,0.5,0.5,0.5\n", 1),
+        ("x1,x2,xi,xi2\n0.5,0.5,0.5,0.5\n", 1),
+        ("x1,x2,xi1,xi2\n0.5,0.5,0.5,0.5\nx1,x2,xi1,xi2\n", 3),
+    ],
+)
+def test_wigner_points_file_only_exact_header_skipped(tmp_path, capsys, text, lineno):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    out = tmp_path / "never.csv"
+    code = cli.main(["wigner", "lg_general", "--indices", "1", "0", "0", "1", "--points", str(pts), "--out", str(out)])
+    assert code == 2
+    assert f"line {lineno}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wigner_wrong_index_count(tmp_path):
     out = tmp_path / "x.csv"
     assert cli.main(["wigner", "hermite", "--indices", "1", "2", "3", "--out", str(out)]) == 2

@@ -167,6 +167,24 @@ def test_apply_operator_matches_index_action_examples():
     assert got == pytest.approx(want, abs=1e-6)
 
 
+def test_apply_operator_accepts_point_arrays():
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-2.0, 2.0, size=(2, 6))
+    for fld, op in (
+        (lg_field(ModeIndex.lg(1, 2)), LadderOp.AMINUSDAG),
+        (hg_field(ModeIndex.hg(2, 0)), LadderOp.A1),
+    ):
+        for mode in ("finite_difference", "analytic"):
+            got = apply_operator_pointwise(op, fld, x, y, mode=mode)
+            assert got.shape == (6,)
+            for i in range(6):
+                # lg_mode may round arrays and scalars apart by an ulp, which
+                # the central difference divides by its step
+                want = apply_operator_pointwise(op, fld, x[i], y[i], mode=mode)
+                assert got[i] == pytest.approx(want, abs=1e-10)
+            assert type(apply_operator_pointwise(op, fld, 0.4, -0.9, mode=mode)) is complex
+
+
 def test_pointwise_ladder_consistency_random():
     rng = np.random.default_rng(12)
     ops = list(LadderOp)

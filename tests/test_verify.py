@@ -89,6 +89,11 @@ def test_determinism_modulo_elapsed():
     assert strip(a) != strip(c)
 
 
+def test_report_records_budget():
+    assert run_suite("beam", seed=1, budget="quick").as_dict()["budget"] == "quick"
+    assert run_suite("beam", seed=1, budget="full").budget == "full"
+
+
 def test_all_concatenates_every_suite():
     report = run_suite("all", seed=2, budget="quick")
     expected = [name for suite in MANIFEST for name in MANIFEST[suite]]

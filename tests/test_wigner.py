@@ -111,6 +111,56 @@ def test_wigner1d_grid_matches_pointwise():
             assert grid[i, j] == pytest.approx(wigner1d(_h(3), _h(1), x, xi), abs=1e-13)
 
 
+def _stacks(deg):
+    d = np.arange(deg + 1)
+    f = lambda t: specfun.hermite_function_table(deg, t)[:, None]
+    g = lambda t: specfun.hermite_function_table(deg, t)[None, :]
+    return d, f, g
+
+
+def test_wigner1d_grid_stacked_fields_match_per_pair():
+    # 16 pairs on 256 nodes make 256-row blocks after the first single
+    # row; 300 rows leave a short last block
+    quad = QuadratureSpec(10.0, 256)
+    xs = np.linspace(-3.0, 3.0, 300)
+    xis = np.array([-1.1, 0.0, 0.8])
+    d, f, g = _stacks(3)
+    grid = wigner1d_grid(f, g, xs, xis, quad)
+    assert grid.shape == (4, 4, 300, 3)
+    for m in d:
+        for n in d:
+            single = wigner1d_grid(_h(m), _h(n), xs, xis, quad)
+            assert np.abs(grid[m, n] - single).max() <= 1e-14
+
+
+def test_extended_wigner_grid_stacked_field_matches_per_pair():
+    quad = QuadratureSpec(10.0, 256)
+    xs = np.linspace(-3.0, 3.0, 300)
+    ys = np.array([-0.4, 1.3])
+    d, f, g = _stacks(3)
+    grid = extended_wigner_grid(lambda u, v: f(u) * g(v), xs, ys, quad)
+    assert grid.shape == (4, 4, 300, 2)
+    for j in d:
+        for k in d:
+            single = extended_wigner_grid(_hg(j, k), xs, ys, quad)
+            assert np.abs(grid[j, k] - single).max() <= 1e-14
+
+
+def test_pointwise_oracles_accept_point_arrays():
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(-2.0, 2.0, size=(2, 7))
+    got_ext = extended_wigner(_hg(2, 1), x, y)
+    got_1d = wigner1d(_h(2), _h(1), x, y)
+    assert got_ext.shape == got_1d.shape == (7,)
+    for i in range(7):
+        assert got_ext[i] == extended_wigner(_hg(2, 1), x[i], y[i])
+        assert got_1d[i] == wigner1d(_h(2), _h(1), x[i], y[i])
+    # a scalar broadcasts against an array; scalars give a Python complex
+    assert extended_wigner(_hg(2, 1), x.reshape(7, 1), 0.3).shape == (7, 1)
+    assert type(extended_wigner(_hg(2, 1), 0.5, -0.2)) is complex
+    assert type(wigner1d(_h(2), _h(1), 0.5, -0.2)) is complex
+
+
 def test_wigner1d_rejects_bad_quadrature():
     with pytest.raises(TypeError):
         wigner1d(_h(0), _h(0), 0.0, 0.0, quad=(16.0, 1024))
@@ -197,6 +247,22 @@ def test_wigner2d_example_values():
     assert wigner2d(_hg(0, 0), _hg(0, 0), shifted) == pytest.approx(
         np.exp(-0.5) / np.pi, abs=1e-10
     )
+
+
+def test_wigner2d_separable_phase_matches_full_phase():
+    p, w = QuadratureSpec().grid()
+    p1, p2 = p[:, None], p[None, :]
+    f, g = _lg(2, 1), _lg(1, 3)
+    for pt in (
+        PhasePoint4(0.0, 0.0, 0.0, 0.0),
+        PhasePoint4(0.3, -0.5, 1.1, 0.7),
+        PhasePoint4(-1.2, 0.8, -0.4, 1.9),
+    ):
+        vals = np.conj(f((pt.x1 + p1) / np.sqrt(2), (pt.x2 + p2) / np.sqrt(2)))
+        vals = vals * g((pt.x1 - p1) / np.sqrt(2), (pt.x2 - p2) / np.sqrt(2))
+        vals = vals * np.exp(1j * (p1 * pt.xi1 + p2 * pt.xi2))
+        want = (w @ vals @ w) / (2 * np.pi)
+        assert abs(wigner2d(f, g, pt) - want) <= 1e-15
 
 
 def test_wigner_hermite_closed_values_and_symmetry():
