@@ -136,7 +136,8 @@ def _h_stack(degrees):
     """Field returning ``h_d(t)`` for every entry ``d`` of an integer array,
     stacked ahead of the shape of ``t``, so one oracle call covers them all."""
     degrees = np.asarray(degrees)
-    top = int(degrees.max())
+    # the table checks the type and range of the top degree
+    top = degrees.max()
     return lambda t: hermite_function_table(top, t)[degrees]
 
 
@@ -573,7 +574,9 @@ def _weyl_errors(pairs, quad: QuadratureSpec) -> dict[str, np.ndarray]:
     the constant symbol gives the identity. Every pair shares one
     moment computation and one batched oracle call.
     """
-    f_deg, g_deg = np.array(pairs).T
+    # one array per side, so a bool or float degree keeps its type
+    f_deg = np.array([f for f, _ in pairs])
+    g_deg = np.array([g for _, g in pairs])
     f_h, g_h = _h_stack(f_deg), _h_stack(g_deg)
     x, w = quad.grid()
     phases = np.exp(1j * np.outer(x, x) / SQRT2)

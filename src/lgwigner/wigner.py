@@ -26,6 +26,7 @@ about 1e-10 for mode orders up to 12.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,28 +204,23 @@ def _integrate_rows(integrand, xs: np.ndarray, phase: np.ndarray) -> np.ndarray:
     shape ``batch + (len(block), nodes)``; each block is flattened into a
     single matrix product with the ``(nodes, columns)`` phase matrix, and
     the result has shape ``batch + (len(xs), columns)``. The first block
-    is one row, whose size sets the rows per block for the rest.
+    is one row (none for empty ``xs``), whose size sets the rows per
+    block for the rest.
     """
     nodes, columns = phase.shape
-    # a real block times the interleaved real and imaginary parts of the
-    # phase is the complex product, at half the work of promoting the block
-    phase_parts = phase.view(float)
-    out = None
-    start, rows = 0, 1
-    while start < xs.size:
-        stop = min(start + rows, xs.size)
-        amp = integrand(xs[start:stop])
-        amp = np.broadcast_to(amp, np.broadcast_shapes(amp.shape, (stop - start, nodes)))
-        batch = amp.shape[:-2]
-        if out is None:
-            out = np.empty(batch + (xs.size, columns), dtype=complex)
-            rows = max(1, _BLOCK_ELEMENTS // amp.size)
-        if np.iscomplexobj(amp):
-            block = amp.reshape(-1, nodes) @ phase
-        else:
-            block = (amp.reshape(-1, nodes) @ phase_parts).view(complex)
-        out[..., start:stop, :] = block.reshape(batch + (stop - start, columns))
-        start = stop
+
+    def block(rows):
+        amp = integrand(rows)
+        amp = np.broadcast_to(amp, np.broadcast_shapes(amp.shape, (len(rows), nodes)))
+        return (amp.reshape(-1, nodes) @ phase).reshape(amp.shape[:-1] + (columns,))
+
+    first = block(xs[:1])
+    batch = first.shape[:-2]
+    out = np.empty(batch + (xs.size, columns), dtype=complex)
+    out[..., :1, :] = first
+    rows = max(1, _BLOCK_ELEMENTS // max(1, math.prod(batch) * nodes))
+    for start in range(1, xs.size, rows):
+        out[..., start : start + rows, :] = block(xs[start : start + rows])
     out /= np.sqrt(_TWO_PI)
     return out
 

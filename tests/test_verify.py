@@ -122,6 +122,12 @@ def test_weyl_pairing_check_quadratic_symbol():
     assert result.passed and result.name == "weyl_pairing_x2_plus_xi2_f3_g3"
 
 
+@pytest.mark.parametrize("f, g", [(2.0, 2), (True, True), (True, 2), (1, 0.0)])
+def test_weyl_pairing_check_rejects_non_integer_degree(f, g):
+    with pytest.raises(TypeError):
+        weyl_pairing_check("one", f, g)
+
+
 def test_weyl_pairing_check_rejects_unknown_symbol():
     with pytest.raises(ValueError):
         weyl_pairing_check("x3", 0, 0)

@@ -146,6 +146,14 @@ def test_extended_wigner_grid_stacked_field_matches_per_pair():
             assert np.abs(grid[j, k] - single).max() <= 1e-14
 
 
+def test_grid_oracles_accept_empty_rows():
+    xis = np.array([-0.5, 0.0, 0.5])
+    assert wigner1d_grid(_h(1), _h(2), [], xis).shape == (0, 3)
+    assert extended_wigner_grid(_hg(1, 2), [], xis).shape == (0, 3)
+    _, f, g = _stacks(2)
+    assert wigner1d_grid(f, g, [], xis).shape == (3, 3, 0, 3)
+
+
 def test_pointwise_oracles_accept_point_arrays():
     rng = np.random.default_rng(4)
     x, y = rng.uniform(-2.0, 2.0, size=(2, 7))
