@@ -6,15 +6,20 @@ and write CSV (optionally a grayscale magnitude image for modes),
 ``verify`` runs the identity suites with exit-code semantics.
 
 Exit codes: 0 success (verification passed), 1 verification failure,
-2 usage error, 3 I/O failure. All configuration is via flags; the tool
-reads no environment variables or config files, so identical invocations
-produce identical outputs.
+2 usage error, 3 I/O failure, 4 internal error (any other exception).
+All configuration is via flags; the tool reads no environment variables
+or config files, so identical invocations produce identical outputs.
+``--timings`` adds an evaluate and format+write breakdown on stderr and
+changes nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+import time
+import traceback
 
 import numpy as np
 
@@ -27,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 #: The one header a points file may start with; also heads point-value CSVs
@@ -35,11 +41,6 @@ _POINTS_HEADER = "x1,x2,xi1,xi2"
 
 class UsageError(ValueError):
     """Invalid arguments or malformed input files."""
-
-
-def _fmt(value: float) -> str:
-    # repr of a Python float is the shortest decimal that round-trips
-    return repr(float(value))
 
 
 def _grid_axes(args) -> tuple[np.ndarray, np.ndarray]:
@@ -51,22 +52,32 @@ def _grid_axes(args) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(args.xmin, args.xmax, args.nx), np.linspace(args.ymin, args.ymax, args.ny)
 
 
+def _csv_lines(coords, values) -> str:
+    """CSV lines pairing each formatted coordinate prefix with ``re,im``.
+
+    Every float is written as its ``repr``: the shortest decimal that
+    round-trips.
+    """
+    values = np.asarray(values, dtype=complex)
+    re = map(repr, values.real.tolist())
+    im = map(repr, values.imag.tolist())
+    return "".join([f"{c},{r},{i}\n" for c, r, i in zip(coords, re, im)])
+
+
 def _write_grid_csv(path: str, xs, ys, values) -> None:
+    """Rows run x outer, y inner; written one x row at a time."""
+    ys = list(map(repr, np.asarray(ys, dtype=float).tolist()))
     with open(path, "w", newline="") as fh:
         fh.write("x,y,re,im\n")
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                v = complex(values[i, j])
-                fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(v.real)},{_fmt(v.imag)}\n")
+        for x, row in zip(map(repr, np.asarray(xs, dtype=float).tolist()), values):
+            fh.write(_csv_lines([f"{x},{y}" for y in ys], row))
 
 
 def _write_points_csv(path: str, points, values) -> None:
+    coords = [",".join(map(repr, pt)) for pt in np.asarray(points, dtype=float).tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(_POINTS_HEADER + ",re,im\n")
-        for pt, v in zip(points, values):
-            v = complex(v)
-            coords = ",".join(_fmt(c) for c in pt)
-            fh.write(f"{coords},{_fmt(v.real)},{_fmt(v.imag)}\n")
+        fh.write(_csv_lines(coords, values))
 
 
 def _write_pgm(path: str, values) -> None:
@@ -92,21 +103,25 @@ def _read_points_file(path: str) -> list[tuple[float, float, float, float]]:
             line = raw.strip()
             if not line or (lineno == 1 and line == _POINTS_HEADER):
                 continue
-            parts = line.split(",")
-            if len(parts) != 4 or any(not _is_float(p) for p in parts):
+            point = _parse_point(line)
+            if point is None:
                 raise UsageError(f"points file line {lineno}: expected {_POINTS_HEADER!r}, got {line!r}")
-            points.append(tuple(float(p) for p in parts))
+            points.append(point)
     if not points:
         raise UsageError("points file contains no points")
     return points
 
 
-def _is_float(token: str) -> bool:
+def _parse_point(line: str) -> tuple[float, float, float, float] | None:
+    """The four finite floats of a points-file line, or None."""
+    parts = line.split(",")
+    if len(parts) != 4:
+        return None
     try:
-        float(token)
+        point = tuple(map(float, parts))
     except ValueError:
-        return False
-    return np.isfinite(float(token))
+        return None
+    return point if all(map(math.isfinite, point)) else None
 
 
 def _add_grid_flags(parser, default_half: float = 4.0, default_n: int = 128) -> None:
@@ -118,16 +133,30 @@ def _add_grid_flags(parser, default_half: float = 4.0, default_n: int = 128) -> 
     parser.add_argument("--ny", type=int, default=default_n)
 
 
+def _report_timings(args, start: float, evaluated: float) -> None:
+    """With ``--timings``, print the seconds spent evaluating (from
+    ``start`` to ``evaluated``) and formatting and writing (since then)."""
+    if args.timings:
+        written = time.perf_counter()
+        print(
+            f"timings: evaluate {evaluated - start:.6f} s, format+write {written - evaluated:.6f} s",
+            file=sys.stderr,
+        )
+
+
 def cmd_modes(args) -> int:
     xs, ys = _grid_axes(args)
     j, k = args.index
+    start = time.perf_counter()
     if args.kind == "hg":
-        values = hg_mode(ModeIndex.hg(j, k), xs[:, None], ys[None, :]).astype(complex)
+        values = hg_mode(ModeIndex.hg(j, k), xs[:, None], ys[None, :])
     else:
         values = lg_mode(ModeIndex.lg(j, k), xs[:, None], ys[None, :])
+    evaluated = time.perf_counter()
     _write_grid_csv(args.out, xs, ys, values)
     if args.image:
         _write_pgm(args.image, values)
+    _report_timings(args, start, evaluated)
     print(f"modes {args.kind} ({j},{k}): wrote {values.size} samples to {args.out}")
     return EXIT_OK
 
@@ -138,15 +167,14 @@ def cmd_wigner(args) -> int:
             raise UsageError(f"kind {args.kind} takes two indices, got {len(args.indices)}")
         j, k = args.indices
         xs, ys = _grid_axes(args)
+        start = time.perf_counter()
         if args.kind == "hermite":
             values = wigner_hermite_closed(j, k, xs[:, None], ys[None, :])
-            values = np.asarray(values, dtype=complex)
         else:
-            values = np.empty((xs.size, ys.size), dtype=complex)
-            for a, x1 in enumerate(xs):
-                for b, x2 in enumerate(ys):
-                    values[a, b] = wigner_lg_diag(j, k, PhasePoint4(x1, x2, args.xi1, args.xi2))
+            values = wigner_lg_diag(j, k, PhasePoint4(xs[:, None], ys[None, :], args.xi1, args.xi2))
+        evaluated = time.perf_counter()
         _write_grid_csv(args.out, xs, ys, values)
+        _report_timings(args, start, evaluated)
         print(f"wigner {args.kind} ({j},{k}): wrote {values.size} samples to {args.out}")
         return EXIT_OK
 
@@ -157,8 +185,11 @@ def cmd_wigner(args) -> int:
     j, k, m, n = args.indices
     points = _read_points_file(args.points)
     closed = wigner_lg_closed if args.kind == "lg_general" else wigner_hg_closed
+    start = time.perf_counter()
     values = [closed(j, k, m, n, PhasePoint4(*pt)) for pt in points]
+    evaluated = time.perf_counter()
     _write_points_csv(args.out, points, values)
+    _report_timings(args, start, evaluated)
     print(f"wigner {args.kind} ({j},{k},{m},{n}): wrote {len(values)} samples to {args.out}")
     return EXIT_OK
 
@@ -167,10 +198,13 @@ def cmd_beam(args) -> int:
     xs, ys = _grid_axes(args)
     params = BeamParams(w0=args.w0, k=args.k)
     index = BeamIndex(args.index[0], args.index[1])
+    start = time.perf_counter()
     r = np.hypot(xs[:, None], ys[None, :])
     phi = np.arctan2(ys[None, :], xs[:, None])
     values = beam_field(index, params, r, phi, args.z)
+    evaluated = time.perf_counter()
     _write_grid_csv(args.out, xs, ys, values)
+    _report_timings(args, start, evaluated)
     print(
         f"beam (p={index.p}, ell={index.ell}) at z={args.z}: "
         f"wrote {values.size} samples to {args.out}"
@@ -231,6 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_beam.add_argument("--out", required=True)
     p_beam.set_defaults(func=cmd_beam)
 
+    for p in (p_modes, p_wig, p_beam):
+        p.add_argument(
+            "--timings", action="store_true",
+            help="print evaluate and format+write seconds on stderr",
+        )
+
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite")
     p_ver.add_argument("--seed", type=int, default=7)
@@ -252,6 +292,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -101,29 +101,31 @@ class PhasePoint4:
     """A point (x1, x2, xi1, xi2) of the four-dimensional phase space.
 
     The derived quadratics q0, q2, q3 parameterize the diagonal closed
-    forms; by Cauchy-Schwarz ``|q2| <= q0`` and ``|q3| <= q0``.
+    forms; by Cauchy-Schwarz ``|q2| <= q0`` and ``|q3| <= q0``. The fields
+    may also be arrays that broadcast together, describing a set of
+    points; the quadratics are then arrays of the broadcast shape.
     """
 
-    x1: float
-    x2: float
-    xi1: float
-    xi2: float
+    x1: float | np.ndarray
+    x2: float | np.ndarray
+    xi1: float | np.ndarray
+    xi2: float | np.ndarray
 
     def __post_init__(self):
         for name in ("x1", "x2", "xi1", "xi2"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
 
     @property
-    def q0(self) -> float:
+    def q0(self) -> float | np.ndarray:
         return 0.5 * (self.x1**2 + self.x2**2 + self.xi1**2 + self.xi2**2)
 
     @property
-    def q2(self) -> float:
+    def q2(self) -> float | np.ndarray:
         return self.x1 * self.xi2 - self.x2 * self.xi1
 
     @property
-    def q3(self) -> float:
+    def q3(self) -> float | np.ndarray:
         return 0.5 * (self.x1**2 - self.x2**2 + self.xi1**2 - self.xi2**2)
 
 
@@ -388,17 +390,23 @@ def wigner_lg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> comp
     return wigner_hermite_closed(j, m, u1, v1) * wigner_hermite_closed(k, n, u2, v2)
 
 
-def wigner_lg_diag(j: int, k: int, point: PhasePoint4) -> float:
+def _diag_closed(j: int, k: int, q0, q) -> float | np.ndarray:
+    """``pi**-1 (-1)**(j+k) exp(-q0) L0_j(q0 + q) L0_k(q0 - q)``, real."""
+    _check_degree(j, "j")
+    _check_degree(k, "k")
+    value = (-1.0) ** (j + k) / np.pi * np.exp(-q0)
+    value = value * laguerre(j, 0, q0 + q) * laguerre(k, 0, q0 - q)
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def wigner_lg_diag(j: int, k: int, point: PhasePoint4) -> float | np.ndarray:
     """Diagonal LG Wigner transform, always real.
 
     ``pi**-1 (-1)**(j+k) exp(-q0) L0_j(q0 + q2) L0_k(q0 - q2)`` in the
-    derived quadratics of the phase-space point.
+    derived quadratics of the phase-space point. A point with array
+    fields gives an array of the broadcast shape; scalar fields a float.
     """
-    _check_degree(j, "j")
-    _check_degree(k, "k")
-    q0, q2 = point.q0, point.q2
-    value = (-1.0) ** (j + k) / np.pi * np.exp(-q0)
-    return float(value * laguerre(j, 0, q0 + q2) * laguerre(k, 0, q0 - q2))
+    return _diag_closed(j, k, point.q0, point.q2)
 
 
 def wigner_hg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> complex:
@@ -408,10 +416,7 @@ def wigner_hg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> comp
     )
 
 
-def wigner_hg_diag(j: int, k: int, point: PhasePoint4) -> float:
-    """Diagonal HG Wigner transform via the q3 quadratic, always real."""
-    _check_degree(j, "j")
-    _check_degree(k, "k")
-    q0, q3 = point.q0, point.q3
-    value = (-1.0) ** (j + k) / np.pi * np.exp(-q0)
-    return float(value * laguerre(j, 0, q0 + q3) * laguerre(k, 0, q0 - q3))
+def wigner_hg_diag(j: int, k: int, point: PhasePoint4) -> float | np.ndarray:
+    """Diagonal HG Wigner transform: :func:`wigner_lg_diag` with q3 in
+    place of q2. Always real; array fields give an array."""
+    return _diag_closed(j, k, point.q0, point.q3)

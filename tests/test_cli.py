@@ -205,3 +205,94 @@ def test_io_error_exits_3(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = cli.main(["modes", "hg", "--index", "0", "0", "--nx", "4", "--ny", "4", "--out", str(missing_dir)])
     assert code == 3
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken(name, seed=0, budget="quick"):
+        raise RuntimeError("suite beam produced unexpected checks")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    assert cli.main(["verify", "beam"]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: suite beam produced unexpected checks\n")
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "0x1p3", ""])
+def test_points_file_non_finite_or_malformed_token_exits_2(tmp_path, capsys, token):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"x1,x2,xi1,xi2\n0.5,0.5,0.5,0.5\n0.5,{token},0.5,0.5\n")
+    out = tmp_path / "never.csv"
+    code = cli.main(["wigner", "hg_general", "--indices", "0", "0", "0", "0", "--points", str(pts), "--out", str(out)])
+    assert code == 2
+    assert "line 3:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The per-element writers the bulk ones replaced, kept as the reference
+# for the byte format.
+def _reference_fmt(value):
+    return repr(float(value))
+
+
+def _reference_grid_csv(xs, ys, values):
+    lines = ["x,y,re,im\n"]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            v = complex(values[i, j])
+            lines.append(f"{_reference_fmt(x)},{_reference_fmt(y)},{_reference_fmt(v.real)},{_reference_fmt(v.imag)}\n")
+    return "".join(lines).encode()
+
+
+def _reference_points_csv(points, values):
+    lines = ["x1,x2,xi1,xi2,re,im\n"]
+    for pt, v in zip(points, values):
+        v = complex(v)
+        coords = ",".join(_reference_fmt(c) for c in pt)
+        lines.append(f"{coords},{_reference_fmt(v.real)},{_reference_fmt(v.imag)}\n")
+    return "".join(lines).encode()
+
+
+_EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, -1.5e-300]
+
+
+def test_grid_csv_matches_per_element_reference(tmp_path):
+    xs = np.array([-0.0, 1e-5, 0.1 + 0.2])
+    ys = np.array([5e-324, 1e16, -1.5e-300, 2.5, -7.0])  # nx != ny pins the row order
+    edge = np.array(_EDGE_VALUES)
+    values = edge[:, None] + 1j * edge[None, ::-1]
+    values = np.resize(values, (xs.size, ys.size))
+    out = tmp_path / "grid.csv"
+    cli._write_grid_csv(str(out), xs, ys, values)
+    assert out.read_bytes() == _reference_grid_csv(xs, ys, values)
+    # a real grid writes its imaginary parts as 0.0
+    cli._write_grid_csv(str(out), xs, ys, values.real)
+    assert out.read_bytes() == _reference_grid_csv(xs, ys, values.real)
+
+
+def test_points_csv_matches_per_element_reference(tmp_path):
+    points = [tuple(np.roll(_EDGE_VALUES, s)[:4].tolist()) for s in range(6)]
+    values = [complex(a, b) for a, b in zip(_EDGE_VALUES, _EDGE_VALUES[::-1])]
+    out = tmp_path / "points.csv"
+    cli._write_points_csv(str(out), points, values)
+    assert out.read_bytes() == _reference_points_csv(points, values)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modes", "lg", "--index", "2", "1", "--nx", "12", "--ny", "9"],
+        ["wigner", "lg_diag", "--indices", "2", "1", "--xi1", "0.5", "--nx", "7", "--ny", "10"],
+        ["beam", "--index", "1", "-2", "--w0", "1.0", "--k", "10.0", "--z", "0.5", "--nx", "8", "--ny", "6"],
+    ],
+)
+def test_timings_change_only_stderr(tmp_path, capsys, argv):
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert cli.main(argv + ["--out", str(plain)]) == 0
+    out_plain, err_plain = capsys.readouterr()
+    assert cli.main(argv + ["--out", str(timed), "--timings"]) == 0
+    out_timed, err_timed = capsys.readouterr()
+    assert plain.read_bytes() == timed.read_bytes()
+    assert out_plain.replace(str(plain), str(timed)) == out_timed
+    assert err_plain == ""
+    assert err_timed.startswith("timings: evaluate ") and "format+write" in err_timed

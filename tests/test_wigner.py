@@ -346,3 +346,33 @@ def test_closed_form_degree_validation():
         wigner_hermite_closed(65, 0, 0.0, 0.0)
     with pytest.raises(ValueError):
         wigner_lg_diag(0, 65, PhasePoint4(0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("diag", [wigner_lg_diag, wigner_hg_diag])
+@pytest.mark.parametrize(
+    "j, k, xi, n",
+    [
+        (1, 0, (0.0, 0.0), 128),  # the CLI's default slice
+        (2, 1, (0.5, -0.25), 256),  # the benchmark's lg_diag slice
+    ],
+)
+def test_diag_closed_forms_on_arrays_match_pointwise_bitwise(diag, j, k, xi, n):
+    axis = np.linspace(-4.0, 4.0, n)
+    got = diag(j, k, PhasePoint4(axis[:, None], axis[None, :], *xi))
+    want = np.array([[diag(j, k, PhasePoint4(a, b, *xi)) for b in axis] for a in axis])
+    assert isinstance(got, np.ndarray) and got.shape == (n, n)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("diag", [wigner_lg_diag, wigner_hg_diag])
+def test_diag_closed_forms_scalar_returns_float(diag):
+    assert type(diag(2, 1, PhasePoint4(0.3, -0.5, 1.1, 0.7))) is float
+    assert type(diag(2, 1, PhasePoint4(np.float64(0.3), -0.5, 1.1, 0.7))) is float
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_phase_point_rejects_nan_in_array_field(field):
+    coords = [np.linspace(-1.0, 1.0, 5) for _ in range(4)]
+    coords[field][3] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        PhasePoint4(*coords)
