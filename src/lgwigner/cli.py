@@ -183,10 +183,10 @@ def cmd_wigner(args) -> int:
     if not args.points:
         raise UsageError(f"kind {args.kind} requires --points FILE")
     j, k, m, n = args.indices
-    points = _read_points_file(args.points)
+    points = np.array(_read_points_file(args.points))
     closed = wigner_lg_closed if args.kind == "lg_general" else wigner_hg_closed
     start = time.perf_counter()
-    values = [closed(j, k, m, n, PhasePoint4(*pt)) for pt in points]
+    values = closed(j, k, m, n, PhasePoint4(*points.T))
     evaluated = time.perf_counter()
     _write_points_csv(args.out, points, values)
     _report_timings(args, start, evaluated)

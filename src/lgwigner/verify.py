@@ -7,7 +7,10 @@ mode indices at 3 and random samples at 8 per check; ``full`` runs the
 documented limits. Tolerances are fixed per check from the quadrature
 error budget: 1e-10 to 1e-12 where only closed forms and spectrally
 accurate quadrature meet, loosened to 1e-6 where finite differences,
-interpolation, or the two-dimensional oracle enter.
+interpolation, or the two-dimensional oracle enter. Every oracle call
+sizes its quadrature with :meth:`QuadratureSpec.for_degree` from the
+mode degrees of its integrand and the largest frequency it is evaluated
+at, and from nothing else: not a closed form's value, not the seed itself.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from . import beam as _beam
 from .modes import (
     ANNIHILATED,
+    DEFAULT_FD_STEP,
     LadderOp,
     ModeIndex,
     apply_operator_pointwise,
@@ -71,7 +75,9 @@ class CheckResult:
 
     ``elapsed_ms`` is the wall time of the computation behind the check.
     Checks of one suite may share a computation; each of them then
-    reports the full wall time of that shared computation.
+    reports the full wall time of that shared computation. ``margin``,
+    ``max_abs_err / tolerance``, is the share of the tolerance used: a
+    check passes while it is at most 1.
     """
 
     name: str
@@ -81,11 +87,16 @@ class CheckResult:
     samples: int
     elapsed_ms: float
 
+    @property
+    def margin(self) -> float:
+        return self.max_abs_err / self.tolerance
+
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "max_abs_err": self.max_abs_err,
             "tolerance": self.tolerance,
+            "margin": self.margin,
             "passed": self.passed,
             "samples": self.samples,
             "elapsed_ms": self.elapsed_ms,
@@ -130,6 +141,14 @@ def _timed(name: str, tol: float, fn) -> CheckResult:
 
 def _h(n: int):
     return lambda t, n=n: hermite_function(n, t)
+
+
+def _sized(degree, *freqs) -> QuadratureSpec:
+    """Oracle spec for an integrand of ``degree`` in p (m + n for the mode
+    pair (m, n)) evaluated at the frequencies in ``freqs``, scalars or
+    arrays."""
+    reach = max((float(np.max(np.abs(f))) for f in freqs), default=0.0)
+    return QuadratureSpec.for_degree(degree, reach)
 
 
 def _h_stack(degrees):
@@ -213,18 +232,22 @@ def _suite_properties(seed: int, quick: bool) -> list[CheckResult]:
             f = _superposition_1d(_random_coeffs(rng, deg + 1))
             g = _superposition_1d(_random_coeffs(rng, deg + 1))
             x, xi = rng.uniform(-2.0, 2.0, size=(npts, 2)).T
-            err = np.abs(wigner1d(f, g, x, xi) - np.conj(wigner1d(g, f, x, xi)))
+            quad = _sized(2 * deg, xi)
+            err = np.abs(wigner1d(f, g, x, xi, quad) - np.conj(wigner1d(g, f, x, xi, quad)))
             worst = max(worst, err.max())
         return worst, npairs * npts
 
     checks.append(_timed("hermiticity", 1e-12, hermiticity))
 
-    p_axis, p_w = DEFAULT_QUAD.grid()
+    # W(h_m, h_n) is itself a Hermite expansion of degree m + n along
+    # each axis, so the outer integrals take the same rule
+    outer = QuadratureSpec.for_degree(2 * deg)
+    p_axis, p_w = outer.grid()
 
     def xi_marginal():
         xs = rng.uniform(-2.0, 2.0, size=2 if quick else 4)
         m, n = _all_pairs(deg)
-        lhs = wigner1d_grid(_h_stack(m), _h_stack(n), xs, p_axis) @ p_w
+        lhs = wigner1d_grid(_h_stack(m), _h_stack(n), xs, p_axis, _sized(2 * deg, p_axis)) @ p_w
         h = hermite_function_table(deg, xs / SQRT2)
         rhs = np.sqrt(2 * np.pi) * h[:, None] * h[None, :]
         return np.abs(lhs - rhs).max(), (deg + 1) ** 2 * len(xs)
@@ -234,7 +257,7 @@ def _suite_properties(seed: int, quick: bool) -> list[CheckResult]:
     def x_marginal():
         xis = rng.uniform(-2.0, 2.0, size=2 if quick else 4)
         m, n = _all_pairs(deg)
-        lhs = p_w @ wigner1d_grid(_h_stack(m), _h_stack(n), p_axis, xis)
+        lhs = p_w @ wigner1d_grid(_h_stack(m), _h_stack(n), p_axis, xis, _sized(2 * deg, xis))
         # Fourier transform of each mode is itself times (-i)**degree, so
         # pair (m, n) picks up i**m (-i)**n = i**(m - n)
         phase = 1j ** ((m - n) % 4)
@@ -250,7 +273,8 @@ def _suite_properties(seed: int, quick: bool) -> list[CheckResult]:
         worst = 0.0
         # one row m per call keeps the (deg + 1) x 256 x 256 output small
         for m in range(deg + 1):
-            totals = w @ wigner1d_grid(_h(m), every_n, axis, axis) @ w
+            grids = wigner1d_grid(_h(m), every_n, axis, axis, _sized(m + deg, axis))
+            totals = np.einsum("i,nij,j->n", w, grids, w)
             expect = 2.0 * np.sqrt(np.pi) * (np.arange(deg + 1) == m)
             worst = max(worst, np.abs(totals - expect).max())
         return worst, (deg + 1) ** 2
@@ -267,7 +291,8 @@ def _suite_moyal(seed: int, quick: bool) -> list[CheckResult]:
         # row (a, b) holds W(h_a, h_b) flattened, so the weighted Gram
         # matrix of the rows must be the identity on index pairs
         a, b = _all_pairs(deg)
-        grids = wigner1d_grid(_h_stack(a), _h_stack(b), axis, axis).reshape((deg + 1) ** 2, -1)
+        grids = wigner1d_grid(_h_stack(a), _h_stack(b), axis, axis, _sized(2 * deg, axis))
+        grids = grids.reshape((deg + 1) ** 2, -1)
         gram = (np.conj(grids) * np.outer(w, w).ravel()) @ grids.T
         return np.abs(gram - np.eye(len(grids))).max(), len(grids) ** 2
 
@@ -317,14 +342,16 @@ _INTERTWINE_PAIRS = (
 def _suite_intertwine(seed: int, quick: bool) -> list[CheckResult]:
     cap = 3 if quick else 4
     npts = 8 if quick else 50
-    j, k = _all_pairs(cap)
-    transformed = lambda x, y: extended_wigner(_hg_stack(j, k), x, y)
+    hg = _hg_stack(*_all_pairs(cap))
     checks = []
     for tag, (name, circ_op, cart_op) in enumerate(_INTERTWINE_PAIRS):
 
         def one_pair(circ_op=circ_op, cart_op=cart_op, tag=tag):
             rng = np.random.default_rng([seed, 4, tag])
             xs, ys = rng.uniform(-2.0, 2.0, size=(npts, 2)).T
+            # the central differences also evaluate at y +- step
+            quad = _sized(2 * cap, np.abs(ys) + DEFAULT_FD_STEP)
+            transformed = lambda x, y: extended_wigner(hg, x, y, quad)
             lhs = apply_operator_pointwise(circ_op, transformed, xs, ys)
             # index-space action on every HG(j, k); an annihilated mode
             # keeps coefficient 0 and any valid target
@@ -335,7 +362,8 @@ def _suite_intertwine(seed: int, quick: bool) -> list[CheckResult]:
                     c, target = ladder_index_action(cart_op, ModeIndex.hg(a, b))
                     if target is not ANNIHILATED:
                         coeff[a, b], tj[a, b], tk[a, b] = c, target.first, target.second
-            rhs = coeff[..., None] * extended_wigner(_hg_stack(tj, tk), xs, ys)
+            rhs_quad = _sized((tj + tk).max(), ys)
+            rhs = coeff[..., None] * extended_wigner(_hg_stack(tj, tk), xs, ys, rhs_quad)
             return np.abs(lhs - rhs).max(), (cap + 1) ** 2 * npts
 
         checks.append(_timed(name, 1e-6, one_pair))
@@ -350,7 +378,7 @@ def _suite_closedforms(seed: int, quick: bool) -> list[CheckResult]:
 
     def closed_vs_quadrature():
         m, n = _all_pairs(cap)
-        quad_grids = wigner1d_grid(_h_stack(m), _h_stack(n), xs, xs)
+        quad_grids = wigner1d_grid(_h_stack(m), _h_stack(n), xs, xs, _sized(2 * cap, xs))
         worst = 0.0
         for j in range(cap + 1):
             for k in range(cap + 1):
@@ -374,7 +402,8 @@ def _suite_closedforms(seed: int, quick: bool) -> list[CheckResult]:
     def hg_to_lg():
         cap2 = 3 if quick else 6
         sample = np.linspace(-3.0, 3.0, 11)
-        transformed = extended_wigner_grid(_hg_stack(*_all_pairs(cap2)), sample, sample)
+        quad = _sized(2 * cap2, sample)
+        transformed = extended_wigner_grid(_hg_stack(*_all_pairs(cap2)), sample, sample, quad)
         worst = 0.0
         for j in range(cap2 + 1):
             for k in range(cap2 + 1):
@@ -385,7 +414,7 @@ def _suite_closedforms(seed: int, quick: bool) -> list[CheckResult]:
     checks.append(_timed("extended_wigner_maps_hg_to_lg", 1e-9, hg_to_lg))
 
     def fixed_point():
-        transformed = extended_wigner_grid(_hg_callable(0, 0), xs, xs)
+        transformed = extended_wigner_grid(_hg_callable(0, 0), xs, xs, _sized(0, xs))
         reference = hg_mode(ModeIndex.hg(0, 0), mesh_x, mesh_y)
         return np.abs(transformed - reference).max(), xs.size**2
 
@@ -403,7 +432,8 @@ def _suite_product_theorem(seed: int, quick: bool) -> list[CheckResult]:
         for _ in range(npts):
             j, k, m, n = (int(v) for v in rng.integers(0, 4, size=4))
             pt = PhasePoint4(*rng.uniform(-2.0, 2.0, size=4))
-            oracle = wigner2d(_lg_callable(j, k), _lg_callable(m, n), pt)
+            quad = _sized(j + k + m + n, pt.xi1, pt.xi2)
+            oracle = wigner2d(_lg_callable(j, k), _lg_callable(m, n), pt, quad)
             worst = max(worst, abs(oracle - wigner_lg_closed(j, k, m, n, pt)))
         return worst, npts
 
@@ -415,7 +445,8 @@ def _suite_product_theorem(seed: int, quick: bool) -> list[CheckResult]:
         for _ in range(npts):
             j, k, m, n = (int(v) for v in rng.integers(0, 4, size=4))
             pt = PhasePoint4(*rng.uniform(-2.0, 2.0, size=4))
-            oracle = wigner2d(_hg_callable(j, k), _hg_callable(m, n), pt)
+            quad = _sized(max(j + m, k + n), pt.xi1, pt.xi2)
+            oracle = wigner2d(_hg_callable(j, k), _hg_callable(m, n), pt, quad)
             worst = max(worst, abs(oracle - wigner_hg_closed(j, k, m, n, pt)))
         return worst, npts
 
@@ -457,10 +488,11 @@ def _suite_polarization(seed: int, quick: bool) -> list[CheckResult]:
             n_plus, n_minus = (int(v) for v in rng.integers(0, cap + 1, size=2))
             x, y = rng.uniform(-2.0, 2.0, size=2)
             hp, hm = _h(n_plus), _h(n_minus)
+            quad = _sized(2 * max(n_plus, n_minus), y)
             total = 0.0
             for factor, weight in ((1.0, 0.25), (-1.0, -0.25), (-1j, 0.25j), (1j, -0.25j)):
                 combo = lambda t, c=factor: hp(t) + c * hm(t)
-                total += weight * wigner1d(combo, combo, x, y)
+                total += weight * wigner1d(combo, combo, x, y, quad)
             worst = max(worst, abs(total - lg_mode(ModeIndex.lg(n_plus, n_minus), x, y)))
         return worst, npts
 
@@ -481,7 +513,7 @@ def _suite_unitarity(seed: int, quick: bool) -> list[CheckResult]:
         for _ in range(nfuncs):
             f = _superposition_2d(_random_coeffs(rng, (deg + 1, deg + 1)))
             inputs.append(f(*mesh))
-            outputs.append(extended_wigner_grid(f, axis, axis))
+            outputs.append(extended_wigner_grid(f, axis, axis, _sized(2 * deg, axis)))
         worst = 0.0
         for a in range(nfuncs):
             for b in range(nfuncs):
@@ -560,23 +592,30 @@ def _weyl_sigma_grid(sigma: str, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
 _WEYL_OUTER = QuadratureSpec(12.0, 240)
 
 
-def _weyl_errors(pairs, quad: QuadratureSpec) -> dict[str, np.ndarray]:
-    """Per symbol, the pairing error of each ``(f, g)`` degree pair.
+def _weyl_pairings(pairs, quad: QuadratureSpec | None = None):
+    """Per symbol, the left and right pairing of each ``(f, g)`` degree
+    pair, and the Kronecker delta of the degrees.
 
     Left pipeline: triple trapezoid quadrature of the quantization kernel
     applied to mode g, paired with mode f. Organized per frequency node
     with the polynomial symbol expanded into separable terms, so the work
     is a few matrix products rather than an N**3 loop; the values are the
     same sums reassociated. Right pipeline: the symbol integrated against
-    the quadrature Wigner transform of the pair. The error is the
-    distance between the two; for ``"one"`` it also covers each side's
-    distance from the Kronecker delta of the degrees, since quantizing
-    the constant symbol gives the identity. Every pair shares one
+    the quadrature Wigner transform of the pair. Every pair shares one
     moment computation and one batched oracle call.
+
+    ``quad`` defaults to the spec sized from the degrees. The kernel
+    moments of ``x**m h_f`` (m <= 2) and the frequency sum of their
+    products with the symbol are Hermite expansions of degree at most
+    f + g + 2, and the moments are taken at frequencies up to
+    ``half_width / sqrt2``, which the outer window's half-width exceeds;
+    the oracle is evaluated across that window.
     """
     # one array per side, so a bool or float degree keeps its type
     f_deg = np.array([f for f, _ in pairs])
     g_deg = np.array([g for _, g in pairs])
+    if quad is None:
+        quad = QuadratureSpec.for_degree(f_deg.max() + g_deg.max() + 2, _WEYL_OUTER.half_width)
     f_h, g_h = _h_stack(f_deg), _h_stack(g_deg)
     x, w = quad.grid()
     phases = np.exp(1j * np.outer(x, x) / SQRT2)
@@ -587,9 +626,8 @@ def _weyl_errors(pairs, quad: QuadratureSpec) -> dict[str, np.ndarray]:
 
     outer_x, outer_w = _WEYL_OUTER.grid()
     wig = wigner1d_grid(f_h, g_h, outer_x, outer_x, quad)
-    delta = (f_deg == g_deg).astype(float)
 
-    errors = {}
+    pairings = {}
     for sigma in SIGMA_SYMBOLS:
         left = 0.0
         for phi, mf, mg, coeff in _weyl_sigma_terms(sigma, x):
@@ -597,6 +635,18 @@ def _weyl_errors(pairs, quad: QuadratureSpec) -> dict[str, np.ndarray]:
         left *= 2.0**-1.5 / np.pi
         sig = _weyl_sigma_grid(sigma, outer_x, outer_x)
         right = 0.5 / np.sqrt(np.pi) * (outer_w @ (sig * wig) @ outer_w)
+        pairings[sigma] = (left, right)
+    return pairings, (f_deg == g_deg).astype(float)
+
+
+def _weyl_errors(pairs, quad: QuadratureSpec | None = None) -> dict[str, np.ndarray]:
+    """Per symbol, the distance between the two pairings of each
+    ``(f, g)`` degree pair (see :func:`_weyl_pairings`); for ``"one"`` it
+    also covers each side's distance from the Kronecker delta of the
+    degrees, since quantizing the constant symbol gives the identity."""
+    pairings, delta = _weyl_pairings(pairs, quad)
+    errors = {}
+    for sigma, (left, right) in pairings.items():
         err = np.abs(left - right)
         if sigma == "one":
             err = np.max([err, np.abs(left - delta), np.abs(right - delta)], axis=0)
@@ -614,10 +664,11 @@ def weyl_pairing_check(
     ``sigma`` against the Wigner transform of the mode pair. For
     ``sigma="one"`` both sides must also reproduce the Kronecker delta of
     the degrees, since quantizing the constant symbol gives the identity.
+    Without ``quad`` the kernel and the oracle use the spec sized from
+    the two degrees.
     """
     if sigma not in SIGMA_SYMBOLS:
         raise ValueError(f"unsupported symbol {sigma!r}; expected one of {SIGMA_SYMBOLS}")
-    quad = quad if quad is not None else DEFAULT_QUAD
 
     def compute():
         return _weyl_errors([(f, g)], quad)[sigma][0], 1
@@ -629,7 +680,7 @@ def _suite_weyl(seed: int, quick: bool) -> list[CheckResult]:
     cap = 3 if quick else 4
     pairs = [(f, g) for f in range(cap + 1) for g in range(cap + 1)]
     t0 = time.perf_counter()
-    errors = _weyl_errors(pairs, DEFAULT_QUAD)
+    errors = _weyl_errors(pairs)
     # the four checks share this one computation; each reports all of it
     elapsed = (time.perf_counter() - t0) * 1000.0
     results = []

@@ -8,7 +8,7 @@ import pytest
 
 from lgwigner import cli
 from lgwigner.modes import ModeIndex, hg_mode, lg_mode
-from lgwigner.wigner import PhasePoint4, wigner_hermite_closed, wigner_lg_closed
+from lgwigner.wigner import PhasePoint4, wigner_hermite_closed, wigner_hg_closed, wigner_lg_closed
 
 
 def _read_csv(path):
@@ -100,6 +100,25 @@ def test_wigner_general_points_file(tmp_path):
     for x1, x2, xi1, xi2, re, im in rows:
         want = wigner_lg_closed(1, 0, 0, 1, PhasePoint4(x1, x2, xi1, xi2))
         assert re == want.real and im == want.imag
+
+
+@pytest.mark.parametrize(
+    "kind, closed, indices",
+    [("lg_general", wigner_lg_closed, (2, 1, 0, 3)), ("hg_general", wigner_hg_closed, (1, 2, 3, 0))],
+)
+def test_wigner_general_csv_equals_pointwise_calls_bitwise(tmp_path, kind, closed, indices):
+    # |j - m| = 2 and |k - n| = 2 pairs, where array and scalar complex
+    # arithmetic in numpy round differently unless routed alike
+    points = np.random.default_rng([19, *indices]).uniform(-3.0, 3.0, size=(2000, 4)).tolist()
+    pts = tmp_path / "pts.csv"
+    pts.write_text("".join(",".join(map(repr, pt)) + "\n" for pt in points))
+    out = tmp_path / "out.csv"
+    argv = ["wigner", kind, "--indices", *map(str, indices), "--points", str(pts), "--out", str(out)]
+    assert cli.main(argv) == 0
+    _, rows = _read_csv(out)
+    assert [row[:4] for row in rows] == points
+    want = [closed(*indices, PhasePoint4(*pt)) for pt in points]
+    assert [complex(re, im) for *_, re, im in rows] == want
 
 
 def test_wigner_malformed_points_file(tmp_path, capsys):

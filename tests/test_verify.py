@@ -6,12 +6,24 @@ import json
 import numpy as np
 import pytest
 
+from lgwigner.modes import DEFAULT_FD_STEP, ModeIndex, lg_mode
+from lgwigner.specfun import hermite_function
 from lgwigner.verify import (
     SIGMA_SYMBOLS,
     SUITE_CHECKS,
     SUITE_NAMES,
+    _weyl_pairings,
     run_suite,
     weyl_pairing_check,
+)
+from lgwigner.wigner import (
+    PhasePoint4,
+    QuadratureSpec,
+    extended_wigner,
+    extended_wigner_grid,
+    wigner1d,
+    wigner1d_grid,
+    wigner2d,
 )
 
 # Static manifest: every identity family the library claims to certify
@@ -89,6 +101,13 @@ def test_determinism_modulo_elapsed():
     assert strip(a) != strip(c)
 
 
+def test_report_margin_is_error_over_tolerance():
+    report = run_suite("polarization", seed=3, budget="quick")
+    for check in report.as_dict()["checks"]:
+        assert check["margin"] == check["max_abs_err"] / check["tolerance"]
+        assert (check["margin"] <= 1.0) == check["passed"]
+
+
 def test_report_records_budget():
     assert run_suite("beam", seed=1, budget="quick").as_dict()["budget"] == "quick"
     assert run_suite("beam", seed=1, budget="full").budget == "full"
@@ -148,3 +167,69 @@ def test_quick_budget_runtime():
             continue
         run_suite(name, seed=9, budget="quick")
     assert time.perf_counter() - t0 < 60.0
+
+
+# --- quadrature sized from mode degrees ---
+
+
+def _h(n):
+    return lambda t: hermite_function(n, t)
+
+
+def _hg(j, k):
+    return lambda u, v: hermite_function(j, u) * hermite_function(k, v)
+
+
+def _lg(j, k):
+    return lambda u, v: lg_mode(ModeIndex.lg(j, k), u, v)
+
+
+def _weyl_values(quad):
+    pairings, _ = _weyl_pairings([(4, 4), (4, 3), (0, 4)], quad)
+    return np.concatenate([np.concatenate(sides) for sides in pairings.values()])
+
+
+_EDGE = np.array([-2.0, 0.7, 2.0])
+
+#: Each oracle at the largest integrand degree and reach (largest |xi|)
+#: that a full-budget check sizes it for, evaluated out to that reach.
+_SIZED_ORACLES = {
+    # hermiticity: degree 16, |xi| <= 2
+    "wigner1d": (16, 2.0, lambda q: wigner1d(_h(8), _h(8), _EDGE, -_EDGE, q)),
+    # total_integral: degree 16 on [-12, 12]
+    "wigner1d_grid": (
+        16,
+        12.0,
+        lambda q: wigner1d_grid(_h(8), _h(8), np.linspace(-3, 3, 7), np.linspace(-12, 12, 9), q),
+    ),
+    # intertwine: raised targets of degree 9, |y| <= 2 plus the difference step
+    "extended_wigner": (
+        9,
+        2.0 + DEFAULT_FD_STEP,
+        lambda q: extended_wigner(_hg(4, 5), _EDGE, -(_EDGE + DEFAULT_FD_STEP), q),
+    ),
+    # extended_wigner_maps_hg_to_lg: degree 12; wtilde_inner_products: |y| <= 8
+    "extended_wigner_grid": (
+        12,
+        8.0,
+        lambda q: extended_wigner_grid(_hg(6, 6), np.linspace(-8, 8, 9), np.linspace(-8, 8, 9), q),
+    ),
+    # lg_product_vs_quadrature2d: j + k + m + n <= 12, |xi| <= 2
+    "wigner2d": (12, 2.0, lambda q: wigner2d(_lg(3, 3), _lg(2, 4), PhasePoint4(0.4, -1.1, 2.0, -2.0), q)),
+    # weyl: f + g <= 8, so kernel moments of degree 10; oracle across [-12, 12]
+    "weyl": (10, 12.0, _weyl_values),
+}
+
+
+@pytest.mark.parametrize("name", list(_SIZED_ORACLES))
+def test_sized_quadrature_is_converged_and_not_oversized(name):
+    degree, reach, evaluate = _SIZED_ORACLES[name]
+    spec = QuadratureSpec.for_degree(degree, reach)
+    finer = evaluate(QuadratureSpec(spec.half_width + 2.0, 2 * spec.nodes))
+    # 1e-13 absolute for values of order one; the weyl pairings of
+    # x2 + xi2 are of order 18 and carry rounding in proportion
+    scale = np.maximum(1.0, np.abs(finer))
+    assert np.all(np.abs(evaluate(spec) - finer) <= 1e-13 * scale)
+    # half the nodes on the same window is visibly under-resolved
+    coarse = evaluate(QuadratureSpec(spec.half_width, spec.nodes // 4 * 2))
+    assert np.abs(coarse - finer).max() > 1e-8

@@ -56,6 +56,55 @@ def test_quadrature_spec_validation():
     assert np.sum(w) == pytest.approx(10.0, rel=1e-14)
 
 
+_REACHES = (0.0, 1e-5, 2.0, 4.0, 8.0, 12.0, 40.0)
+
+
+def test_for_degree_nodes_even_and_at_least_16():
+    for degree in range(specfun.MAX_DEGREE + 1):
+        for reach in _REACHES:
+            spec = QuadratureSpec.for_degree(degree, reach)
+            assert spec.nodes % 2 == 0 and spec.nodes >= 16
+            # the spacing keeps the first alias outside [-T, T]
+            p, _ = spec.grid()
+            assert p[1] - p[0] <= 2 * np.pi / (spec.half_width + reach)
+
+
+def test_for_degree_never_shrinks_with_degree_or_reach():
+    # axes: degree, reach, (half_width, nodes)
+    specs = np.array(
+        [
+            [(s.half_width, s.nodes) for s in (QuadratureSpec.for_degree(d, r) for r in _REACHES)]
+            for d in range(specfun.MAX_DEGREE + 1)
+        ]
+    )
+    assert np.all(np.diff(specs, axis=0) >= 0)
+    assert np.all(np.diff(specs, axis=1) >= 0)
+
+
+@pytest.mark.parametrize("degree", [True, 2.0, -1, 65])
+def test_for_degree_rejects_bad_degree(degree):
+    with pytest.raises((TypeError, ValueError)):
+        QuadratureSpec.for_degree(degree)
+
+
+@pytest.mark.parametrize("reach", [-1e-9, np.inf, -np.inf, np.nan])
+def test_for_degree_rejects_bad_reach(reach):
+    with pytest.raises(ValueError):
+        QuadratureSpec.for_degree(4, reach)
+
+
+@pytest.mark.parametrize("degree", [0, 12, 16, 64])
+def test_for_degree_half_width_bounds_every_hermite_function(degree):
+    mpmath = pytest.importorskip("mpmath")
+    half = QuadratureSpec.for_degree(degree).half_width
+    with mpmath.workdps(40):
+        for k in range(degree + 1):
+            # h_k(x) = pi**-1/4 (2**k k!)**-1/2 exp(-x**2/2) H_k(x), even or odd
+            h = mpmath.hermite(k, half) * mpmath.exp(-half**2 / 2)
+            h /= mpmath.pi**0.25 * mpmath.sqrt(2**k * mpmath.factorial(k))
+            assert abs(h) < 1e-16, (k, half)
+
+
 def test_grid2d_validation():
     with pytest.raises(ValueError):
         Grid2D((0.0, 1.0, 1), (0.0, 1.0, 4), np.zeros(4))
@@ -362,6 +411,26 @@ def test_diag_closed_forms_on_arrays_match_pointwise_bitwise(diag, j, k, xi, n):
     want = np.array([[diag(j, k, PhasePoint4(a, b, *xi)) for b in axis] for a in axis])
     assert isinstance(got, np.ndarray) and got.shape == (n, n)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("j, k", [(2, 0), (0, 2), (3, 1), (4, 2), (5, 0), (0, 6), (1, 0), (3, 3)])
+def test_hermite_closed_on_arrays_matches_pointwise_bitwise(j, k):
+    x, y = np.random.default_rng([17, j, k]).uniform(-3.0, 3.0, size=(2, 2000))
+    got = wigner_hermite_closed(j, k, x, y)
+    want = np.array([wigner_hermite_closed(j, k, a, b) for a, b in zip(x, y)])
+    assert np.array_equal(got, want)
+    assert type(wigner_hermite_closed(j, k, 0.3, -1.2)) is complex
+
+
+@pytest.mark.parametrize("closed", [wigner_lg_closed, wigner_hg_closed])
+@pytest.mark.parametrize("indices", [(2, 1, 0, 3), (1, 2, 3, 0), (3, 1, 1, 3)])
+def test_general_closed_forms_on_arrays_match_pointwise_bitwise(closed, indices):
+    points = np.random.default_rng([18, *indices]).uniform(-3.0, 3.0, size=(2000, 4))
+    got = closed(*indices, PhasePoint4(*points.T))
+    want = np.array([closed(*indices, PhasePoint4(*pt)) for pt in points.tolist()])
+    assert got.shape == (2000,)
+    assert np.array_equal(got, want)
+    assert type(closed(*indices, PhasePoint4(*points[0]))) is complex
 
 
 @pytest.mark.parametrize("diag", [wigner_lg_diag, wigner_hg_diag])
