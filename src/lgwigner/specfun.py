@@ -9,6 +9,8 @@ and are pure, so they are safe to call concurrently.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 __all__ = [
@@ -70,6 +72,22 @@ def hermite_poly(n: int, x) -> float | np.ndarray:
     return _scalar_or_array(h_cur, x)
 
 
+def _hermite_rows(nmax: int, arr: np.ndarray):
+    """Yield h_0(arr), ..., h_nmax(arr) from the normalized recurrence
+    ``h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}``, holding
+    two rows at a time. ``nmax`` is not checked, so callers may step one
+    degree past ``MAX_DEGREE``."""
+    h_prev = np.pi ** -0.25 * np.exp(-0.5 * arr * arr)
+    yield h_prev
+    if nmax == 0:
+        return
+    h_cur = np.sqrt(2.0) * arr * h_prev
+    yield h_cur
+    for k in range(1, nmax):
+        h_prev, h_cur = h_cur, arr * np.sqrt(2.0 / (k + 1)) * h_cur - np.sqrt(k / (k + 1.0)) * h_prev
+        yield h_cur
+
+
 def hermite_function(n: int, x) -> float | np.ndarray:
     """Orthonormal Hermite function h_n(x).
 
@@ -80,19 +98,7 @@ def hermite_function(n: int, x) -> float | np.ndarray:
     """
     _check_degree(n)
     arr = _as_finite_array(x)
-    return _scalar_or_array(_hermite_function_raw(n, arr), x)
-
-
-def _hermite_function_raw(n: int, arr: np.ndarray) -> np.ndarray:
-    h_prev = np.pi ** -0.25 * np.exp(-0.5 * arr * arr)
-    if n == 0:
-        return h_prev
-    h_cur = np.sqrt(2.0) * arr * h_prev
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, (
-            arr * np.sqrt(2.0 / (k + 1)) * h_cur - np.sqrt(k / (k + 1.0)) * h_prev
-        )
-    return h_cur
+    return _scalar_or_array(deque(_hermite_rows(n, arr), maxlen=1)[0], x)
 
 
 def hermite_function_table(nmax: int, x) -> np.ndarray:
@@ -105,11 +111,8 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     _check_degree(nmax, "nmax")
     arr = _as_finite_array(x)
     out = np.empty((nmax + 1,) + arr.shape, dtype=float)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * arr * arr)
-    if nmax >= 1:
-        out[1] = np.sqrt(2.0) * arr * out[0]
-    for k in range(1, nmax):
-        out[k + 1] = arr * np.sqrt(2.0 / (k + 1)) * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
+    for k, row in enumerate(_hermite_rows(nmax, arr)):
+        out[k] = row
     return out
 
 
@@ -122,18 +125,11 @@ def hermite_function_derivative(n: int, x) -> float | np.ndarray:
     """
     _check_degree(n)
     arr = _as_finite_array(x)
-    # one extra recurrence step for h_{n+1}; reuse the raw evaluator
-    h_prev = np.pi ** -0.25 * np.exp(-0.5 * arr * arr)
-    h_cur = np.sqrt(2.0) * arr * h_prev
+    rows = deque(_hermite_rows(n + 1, arr), maxlen=3)  # h_{n-1}, h_n, h_{n+1}
     if n == 0:
-        value = -np.sqrt(0.5) * h_cur
-        return _scalar_or_array(value, x)
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, (
-            arr * np.sqrt(2.0 / (k + 1)) * h_cur - np.sqrt(k / (k + 1.0)) * h_prev
-        )
-    h_next = arr * np.sqrt(2.0 / (n + 1)) * h_cur - np.sqrt(n / (n + 1.0)) * h_prev
-    value = np.sqrt(n / 2.0) * h_prev - np.sqrt((n + 1) / 2.0) * h_next
+        value = -np.sqrt(0.5) * rows[-1]
+    else:
+        value = np.sqrt(n / 2.0) * rows[0] - np.sqrt((n + 1) / 2.0) * rows[-1]
     return _scalar_or_array(value, x)
 
 

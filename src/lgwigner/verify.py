@@ -7,8 +7,8 @@ mode indices at 3 and random samples at 8 per check; ``full`` runs the
 documented limits. Tolerances are fixed per check from the quadrature
 error budget: 1e-10 to 1e-12 where only closed forms and spectrally
 accurate quadrature meet, loosened to 1e-6 where finite differences,
-interpolation, or the two-dimensional oracle enter. Every oracle call
-sizes its quadrature with :meth:`QuadratureSpec.for_degree` from the
+the sampled rotate-plus-FFT grid, or the two-dimensional oracle enter.
+Every oracle call sizes its quadrature with :meth:`QuadratureSpec.for_degree` from the
 mode degrees of its integrand and the largest frequency it is evaluated
 at, and from nothing else: not a closed form's value, not the seed itself.
 """
@@ -38,6 +38,7 @@ from .wigner import (
     Grid2D,
     PhasePoint4,
     QuadratureSpec,
+    _trap_axis,
     extended_wigner,
     extended_wigner_grid,
     extended_wigner_rotfft,
@@ -207,14 +208,6 @@ def _random_coeffs(rng, shape) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def _trap_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.linspace(lo, hi, n)
-    w = np.full(n, x[1] - x[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return x, w
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -268,16 +261,10 @@ def _suite_properties(seed: int, quick: bool) -> list[CheckResult]:
     checks.append(_timed("x_marginal", 1e-8, x_marginal))
 
     def total_integral():
-        axis, w = _trap_axis(-12.0, 12.0, 256)
-        every_n = _h_stack(np.arange(deg + 1))
-        worst = 0.0
-        # one row m per call keeps the (deg + 1) x 256 x 256 output small
-        for m in range(deg + 1):
-            grids = wigner1d_grid(_h(m), every_n, axis, axis, _sized(m + deg, axis))
-            totals = np.einsum("i,nij,j->n", w, grids, w)
-            expect = 2.0 * np.sqrt(np.pi) * (np.arange(deg + 1) == m)
-            worst = max(worst, np.abs(totals - expect).max())
-        return worst, (deg + 1) ** 2
+        m, n = _all_pairs(deg)
+        grids = wigner1d_grid(_h_stack(m), _h_stack(n), p_axis, p_axis, _sized(2 * deg, p_axis))
+        totals = np.einsum("i,mnij,j->mn", p_w, grids, p_w)
+        return np.abs(totals - 2.0 * np.sqrt(np.pi) * np.eye(deg + 1)).max(), (deg + 1) ** 2
 
     checks.append(_timed("total_integral", 1e-7, total_integral))
     return checks

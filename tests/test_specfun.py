@@ -99,6 +99,30 @@ def test_hermite_function_table_matches_single():
         assert np.allclose(table[n], specfun.hermite_function(n, xs), rtol=0, atol=1e-15)
 
 
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_hermite_function_and_derivative_are_table_rows_bitwise():
+    # one recurrence, so every entry point gives the table's bits, signed
+    # zeros and the underflow region past |x| = 38 included
+    x = np.concatenate([np.linspace(-14.0, 14.0, 201), [0.0, -0.0, 38.0, -39.0]])
+    table = specfun.hermite_function_table(64, x)
+    # one step past the table gives h_65 for the derivative of h_64
+    h65 = x * np.sqrt(2.0 / 65) * table[64] - np.sqrt(64 / 65.0) * table[63]
+    rows = np.concatenate([table, h65[None]])
+    for n in range(65):
+        if n == 0:
+            ladder = -np.sqrt(0.5) * rows[1]
+        else:
+            ladder = np.sqrt(n / 2.0) * rows[n - 1] - np.sqrt((n + 1) / 2.0) * rows[n + 1]
+        assert _bits(specfun.hermite_function(n, x)) == _bits(table[n])
+        assert _bits(specfun.hermite_function_derivative(n, x)) == _bits(ladder)
+        for i in (0, 77, 100, 202, 203, 204):
+            assert _bits(specfun.hermite_function(n, float(x[i]))) == _bits(table[n, i])
+            assert _bits(specfun.hermite_function_derivative(n, float(x[i]))) == _bits(ladder[i])
+
+
 def test_hermite_derivative_trivial_points():
     assert specfun.hermite_function_derivative(0, 0.0) == 0.0
     want = -np.pi**-0.25 * np.exp(-0.5)

@@ -2,8 +2,14 @@
 closed forms cross-checked against the oracle, and the rotate-plus-FFT
 grid path checked against both."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import lgwigner
 
 from lgwigner import specfun
 from lgwigner.modes import ModeIndex, lg_mode
@@ -284,6 +290,41 @@ def test_rotfft_cross_checks_quadrature_path():
     yi = int(np.argmin(np.abs(out.y_nodes() - 0.0)))
     x0, y0 = out.x_nodes()[xi], out.y_nodes()[yi]
     assert out.values[xi, yi] == pytest.approx(extended_wigner(f, x0, y0), abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "j, k, x_axis, y_axis, bound",
+    [
+        (1, 0, (-8.0, 8.0, 256), (-8.0, 8.0, 256), 1e-10),
+        (3, 2, (-8.0, 8.0, 256), (-8.0, 8.0, 256), 1e-10),
+        (1, 0, (-8.0, 8.0, 512), (-8.0, 8.0, 512), 1e-10),
+        (3, 2, (-8.0, 8.0, 512), (-8.0, 8.0, 512), 1e-10),
+        # odd counts
+        (3, 2, (-8.0, 8.0, 255), (-8.0, 8.0, 255), 1e-10),
+        # unequal spacing, non-square (measured 2.4e-12)
+        (3, 2, (-8.0, 8.0, 257), (-8.0, 8.0, 160), 1e-10),
+        # unequal windows too: the narrower y window truncates HG(3, 2)
+        # (measured 2.9e-9)
+        (3, 2, (-10.0, 10.0, 301), (-7.0, 7.0, 200), 1e-8),
+    ],
+)
+def test_rotfft_matches_lg_mode(j, k, x_axis, y_axis, bound):
+    grid = Grid2D.sample(_hg(j, k), x_axis, y_axis)
+    out = extended_wigner_rotfft(grid)
+    assert out.x_axis == grid.x_axis and out.y_axis[2] == y_axis[2]
+    ref = lg_mode(ModeIndex.lg(j, k), out.x_nodes()[:, None], out.y_nodes()[None, :])
+    assert np.abs(out.values - ref).max() <= bound
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(lgwigner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, lgwigner, lgwigner.cli, lgwigner.verify; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_rotfft_requires_symmetric_grid():
