@@ -7,6 +7,8 @@ and write CSV (optionally a grayscale magnitude image for modes),
 
 Exit codes: 0 success (verification passed), 1 verification failure,
 2 usage error, 3 I/O failure, 4 internal error (any other exception).
+User input is validated here, before any library call, so exit 2 means
+the input was refused and a library exception always means exit 4.
 All configuration is via flags; the tool reads no environment variables
 or config files, so identical invocations produce identical outputs.
 ``--timings`` adds an evaluate and format+write breakdown on stderr and
@@ -25,7 +27,7 @@ import numpy as np
 
 from .beam import BeamIndex, BeamParams, beam_field
 from .modes import ModeIndex, hg_mode, lg_mode
-from .verify import run_suite
+from .verify import SUITE_NAMES, run_suite
 from .wigner import PhasePoint4, wigner_hermite_closed, wigner_hg_closed, wigner_lg_closed, wigner_lg_diag
 
 EXIT_OK = 0
@@ -43,7 +45,24 @@ class UsageError(ValueError):
     """Invalid arguments or malformed input files."""
 
 
+def _validated(make, *args):
+    """``make(*args)`` for a validating constructor applied to user input;
+    the ValueError or TypeError it raises becomes a UsageError with the
+    same message."""
+    try:
+        return make(*args)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _require_finite(**flags) -> None:
+    for name, value in flags.items():
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite")
+
+
 def _grid_axes(args) -> tuple[np.ndarray, np.ndarray]:
+    _require_finite(xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
     if not (args.xmin < args.xmax and args.ymin < args.ymax):
         raise UsageError("grid bounds must satisfy xmin < xmax and ymin < ymax")
     for n in (args.nx, args.ny):
@@ -147,11 +166,10 @@ def _report_timings(args, start: float, evaluated: float) -> None:
 def cmd_modes(args) -> int:
     xs, ys = _grid_axes(args)
     j, k = args.index
+    hg = args.kind == "hg"
+    index = _validated(ModeIndex.hg if hg else ModeIndex.lg, j, k)
     start = time.perf_counter()
-    if args.kind == "hg":
-        values = hg_mode(ModeIndex.hg(j, k), xs[:, None], ys[None, :])
-    else:
-        values = lg_mode(ModeIndex.lg(j, k), xs[:, None], ys[None, :])
+    values = (hg_mode if hg else lg_mode)(index, xs[:, None], ys[None, :])
     evaluated = time.perf_counter()
     _write_grid_csv(args.out, xs, ys, values)
     if args.image:
@@ -166,7 +184,10 @@ def cmd_wigner(args) -> int:
         if len(args.indices) != 2:
             raise UsageError(f"kind {args.kind} takes two indices, got {len(args.indices)}")
         j, k = args.indices
+        _validated(ModeIndex.lg, j, k)
         xs, ys = _grid_axes(args)
+        if args.kind == "lg_diag":
+            _require_finite(xi1=args.xi1, xi2=args.xi2)
         start = time.perf_counter()
         if args.kind == "hermite":
             values = wigner_hermite_closed(j, k, xs[:, None], ys[None, :])
@@ -183,8 +204,12 @@ def cmd_wigner(args) -> int:
     if not args.points:
         raise UsageError(f"kind {args.kind} requires --points FILE")
     j, k, m, n = args.indices
+    lg = args.kind == "lg_general"
+    index = ModeIndex.lg if lg else ModeIndex.hg
+    _validated(index, j, k)
+    _validated(index, m, n)
     points = np.array(_read_points_file(args.points))
-    closed = wigner_lg_closed if args.kind == "lg_general" else wigner_hg_closed
+    closed = wigner_lg_closed if lg else wigner_hg_closed
     start = time.perf_counter()
     values = closed(j, k, m, n, PhasePoint4(*points.T))
     evaluated = time.perf_counter()
@@ -196,8 +221,9 @@ def cmd_wigner(args) -> int:
 
 def cmd_beam(args) -> int:
     xs, ys = _grid_axes(args)
-    params = BeamParams(w0=args.w0, k=args.k)
-    index = BeamIndex(args.index[0], args.index[1])
+    params = _validated(BeamParams, args.w0, args.k)
+    index = _validated(BeamIndex, *args.index)
+    _require_finite(z=args.z)
     start = time.perf_counter()
     r = np.hypot(xs[:, None], ys[None, :])
     phi = np.arctan2(ys[None, :], xs[:, None])
@@ -213,6 +239,10 @@ def cmd_beam(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite not in SUITE_NAMES:
+        raise UsageError(f"unknown suite name {args.suite!r}; expected one of {SUITE_NAMES}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {args.seed}")
     report = run_suite(args.suite, seed=args.seed, budget=args.budget)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -286,7 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, TypeError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

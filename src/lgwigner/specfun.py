@@ -95,6 +95,17 @@ def hermite_function(n: int, x) -> float | np.ndarray:
     with the normalized recurrence
     ``h_{n+1} = x sqrt(2/(n+1)) h_n - sqrt(n/(n+1)) h_{n-1}``
     so no factorials ever appear and nothing overflows.
+
+    Accuracy, measured against 40-digit mpmath for every n <= 64 on a
+    0.01 grid over [0, 45] (h_n has the parity of n): the absolute error
+    is below 3e-15, and from the turning point sqrt(2n + 1) out to
+    |x| = 37.5 the relative error is below 1e-13. The recurrence starts
+    from exp(-x**2/2), which turns subnormal at |x| of about 37.6 and
+    then zero, so past |x| = 37.5 relative accuracy is lost (8e-11 at
+    x = 38; ``hermite_function(64, 39.0)`` is 0.0 where h_64(39) is
+    1.6e-264) and only the absolute error bound of 1e-253 holds.
+    :func:`hermite_function_table` and :func:`hermite_function_derivative`
+    share the recurrence and its range.
     """
     _check_degree(n)
     arr = _as_finite_array(x)

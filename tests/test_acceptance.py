@@ -6,6 +6,9 @@ table inside the verification engine, so a loosened engine cannot
 silently weaken the gate.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -135,3 +138,23 @@ def test_criterion_12_beam(report):
         "beam waist/Gouy/norm",
         [(waist.max_abs_err, 1e-8), (gouy.max_abs_err, 1e-12), (norm.max_abs_err, 1e-8)],
     )
+
+
+# max_abs_err of every check at seed 7, full budget. Refresh it only in a
+# change that says why; it is written by
+#   python -c "import json; from lgwigner.verify import run_suite; print(json.dumps(
+#   {c.name: c.max_abs_err for c in run_suite('all', 7, 'full').checks}, indent=1))"
+BASELINE = Path(__file__).parent / "data" / "verify_errors_seed7_full.json"
+
+
+def test_errors_keep_headroom_over_committed_baseline(report):
+    """No check may use up its margin quietly: each error stays within 100x
+    its baseline, with a floor of 1e-15 for baselines at or near zero."""
+    baseline = json.loads(BASELINE.read_text())
+    assert set(baseline) == set(report)
+    grown = {
+        name: (report[name].max_abs_err, err)
+        for name, err in baseline.items()
+        if report[name].max_abs_err > 100.0 * max(err, 1e-15)
+    }
+    assert not grown, f"errors past 100x baseline (now, baseline): {grown}"

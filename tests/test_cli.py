@@ -237,6 +237,43 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     assert "Traceback" in err
 
 
+def test_internal_value_error_exits_4(monkeypatch, tmp_path, capsys):
+    def broken(index, x, y):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "hg_mode", broken)
+    argv = ["modes", "hg", "--index", "0", "0", "--nx", "4", "--ny", "4", "--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal error: ValueError: internal bug\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["modes", "hg", "--index", "65", "0"], "first index 65 outside supported range [0, 64]"),
+        (["wigner", "hermite", "--indices", "65", "0"], "first index 65 outside"),
+        (["wigner", "hg_general", "--indices", "0", "0", "0", "65"], "second index 65 outside"),
+        (["modes", "lg", "--index", "0", "0", "--xmin=-inf"], "xmin must be finite"),
+        (["modes", "lg", "--index", "0", "0", "--xmin=-inf", "--xmax=inf"], "xmin must be finite"),
+        (["wigner", "lg_diag", "--indices", "0", "0", "--xi1", "nan"], "xi1 must be finite"),
+        (["beam", "--index", "0", "0", "--w0", "1", "--k", "2", "--z", "nan"], "z must be finite"),
+        (["beam", "--index", "0", "0", "--w0", "-1", "--k", "2"], "w0 must be positive and finite"),
+        (["beam", "--index", "0", "65", "--w0", "1", "--k", "2"], "|ell|=65 exceeds 64"),
+        (["verify", "beam", "--seed", "-1"], "seed must be non-negative"),
+    ],
+)
+def test_invalid_user_input_exits_2(tmp_path, capsys, argv, message):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0.5,0.5,0.5\n")
+    out = tmp_path / "never.csv"
+    points = ["--points", str(pts)] if "hg_general" in argv else []
+    assert cli.main(argv + points + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "0x1p3", ""])
 def test_points_file_non_finite_or_malformed_token_exits_2(tmp_path, capsys, token):
     pts = tmp_path / "pts.csv"

@@ -77,6 +77,28 @@ def test_hermite_function_matches_direct_formula():
     assert specfun.hermite_function(3, x) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [0, 12, 64])
+def test_hermite_function_accuracy_on_both_sides_of_the_underflow(n):
+    """The documented range: absolute accuracy inside, relative accuracy
+    out to |x| = 37.5, and past the underflow of the Gaussian start at
+    about 37.6 only the documented absolute bound."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(x):
+        with mpmath.workdps(40):
+            x = mpmath.mpf(x)
+            h = mpmath.hermite(n, x) * mpmath.exp(-x * x / 2)
+            return h / mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2**n * mpmath.factorial(n))
+
+    for x in (0.0, 2.28, -4.4, 7.32, 11.0):
+        assert abs(specfun.hermite_function(n, x) - exact(x)) <= 3e-15
+    for x in (30.0, 36.0, 37.0, 37.5, -37.5):
+        want = exact(x)
+        assert abs(specfun.hermite_function(n, x) - want) <= 1e-13 * abs(want)
+    for x in (37.7, 38.0, 38.5, 39.0, 40.0, -39.0):
+        assert abs(specfun.hermite_function(n, x) - exact(x)) <= 1e-253
+
+
 def test_hermite_function_parity():
     xs = np.linspace(0.1, 4.0, 17)
     for n in range(13):
