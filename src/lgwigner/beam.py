@@ -14,14 +14,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import MAX_DEGREE, laguerre
+from .specfun import MAX_DEGREE, _scalars_as_arrays, laguerre
 
 __all__ = ["BeamParams", "BeamIndex", "BeamGeometry", "beam_geometry", "beam_field"]
 
 
 @dataclass(frozen=True)
 class BeamParams:
-    """Waist radius and wavenumber, with the derived Rayleigh range."""
+    """Waist radius and wavenumber, with the derived Rayleigh range.
+
+    Both must be positive and finite, ``w0`` at most 1e150 (so its square
+    is finite), and the Rayleigh range ``zR = k w0**2 / 2`` must neither
+    underflow to 0 nor overflow.
+    """
 
     w0: float
     k: float
@@ -31,6 +36,8 @@ class BeamParams:
             raise ValueError("w0 must be positive and finite")
         if not (np.isfinite(self.k) and self.k > 0):
             raise ValueError("k must be positive and finite")
+        if not (self.w0 <= 1e150 and 0 < self.zR < np.inf):
+            raise ValueError("w0 must be at most 1e150 and zR = k w0**2 / 2 positive and finite")
 
     @property
     def zR(self) -> float:
@@ -66,11 +73,12 @@ def beam_geometry(params: BeamParams, z: float) -> BeamGeometry:
 
     ``w(z) = w0 sqrt(1 + (z/zR)**2)``, ``1/R(z) = z / (zR**2 + z**2)``
     (regular at z = 0, where the curvature radius itself diverges), and
-    ``gouy = atan(z/zR)``.
+    ``gouy = atan(z/zR)``. ``|z|`` may be at most 1e150 Rayleigh ranges,
+    so that ``(z/zR)**2`` is finite.
     """
-    if not np.isfinite(z):
-        raise ValueError("z must be finite")
     zr = params.zR
+    if not abs(z) <= 1e150 * zr:
+        raise ValueError("z must be finite and at most 1e150 Rayleigh ranges from the waist")
     w = params.w0 * np.sqrt(1.0 + (z / zr) ** 2)
     inv_r = z / (zr * zr + z * z)
     return BeamGeometry(float(w), float(inv_r), float(np.arctan(z / zr)))
@@ -84,6 +92,7 @@ def _factorial_ratio(p: int, ell_abs: int) -> float:
     return out
 
 
+@_scalars_as_arrays(complex, "r", "phi")
 def beam_field(
     index: BeamIndex,
     params: BeamParams,
@@ -131,6 +140,4 @@ def beam_field(
     value = np.exp(-1j * total_phase) * radial
     if normalized:
         value = value * (np.sqrt(2.0 * _factorial_ratio(index.p, ell_abs) / np.pi) / w)
-    if np.ndim(r) == 0 and np.ndim(phi) == 0:
-        return complex(value)
     return value

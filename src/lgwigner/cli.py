@@ -9,6 +9,11 @@ Exit codes: 0 success (verification passed), 1 verification failure,
 2 usage error, 3 I/O failure, 4 internal error (any other exception).
 User input is validated here, before any library call, so exit 2 means
 the input was refused and a library exception always means exit 4.
+Coordinates (grid bounds, ``--xi1``/``--xi2``, ``--z``, points-file
+values) must be finite and at most 1e150 in magnitude, so that their
+squares stay finite. Beam parameters must give a positive, finite
+Rayleigh range, with ``|z|`` at most 1e150 of them (see
+:class:`lgwigner.beam.BeamParams` and :func:`lgwigner.beam.beam_geometry`).
 All configuration is via flags; the tool reads no environment variables
 or config files, so identical invocations produce identical outputs.
 ``--timings`` adds an evaluate and format+write breakdown on stderr and
@@ -25,7 +30,7 @@ import traceback
 
 import numpy as np
 
-from .beam import BeamIndex, BeamParams, beam_field
+from .beam import BeamIndex, BeamParams, beam_field, beam_geometry
 from .modes import ModeIndex, hg_mode, lg_mode
 from .verify import SUITE_NAMES, run_suite
 from .wigner import PhasePoint4, wigner_hermite_closed, wigner_hg_closed, wigner_lg_closed, wigner_lg_diag
@@ -39,6 +44,9 @@ EXIT_INTERNAL = 4
 
 #: The one header a points file may start with; also heads point-value CSVs
 _POINTS_HEADER = "x1,x2,xi1,xi2"
+
+#: Largest coordinate magnitude accepted, in flags and points files alike
+_COORD_LIMIT = 1e150
 
 
 class UsageError(ValueError):
@@ -55,14 +63,16 @@ def _validated(make, *args):
         raise UsageError(str(exc)) from None
 
 
-def _require_finite(**flags) -> None:
+def _require_coordinates(**flags) -> None:
     for name, value in flags.items():
         if not math.isfinite(value):
             raise UsageError(f"{name} must be finite")
+        if abs(value) > _COORD_LIMIT:
+            raise UsageError(f"{name} must lie in [-1e150, 1e150]")
 
 
 def _grid_axes(args) -> tuple[np.ndarray, np.ndarray]:
-    _require_finite(xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
+    _require_coordinates(xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
     if not (args.xmin < args.xmax and args.ymin < args.ymax):
         raise UsageError("grid bounds must satisfy xmin < xmax and ymin < ymax")
     for n in (args.nx, args.ny):
@@ -132,7 +142,8 @@ def _read_points_file(path: str) -> list[tuple[float, float, float, float]]:
 
 
 def _parse_point(line: str) -> tuple[float, float, float, float] | None:
-    """The four finite floats of a points-file line, or None."""
+    """The four floats of a points-file line, each finite and within the
+    coordinate limit, or None."""
     parts = line.split(",")
     if len(parts) != 4:
         return None
@@ -140,7 +151,7 @@ def _parse_point(line: str) -> tuple[float, float, float, float] | None:
         point = tuple(map(float, parts))
     except ValueError:
         return None
-    return point if all(map(math.isfinite, point)) else None
+    return point if all(abs(v) <= _COORD_LIMIT for v in point) else None
 
 
 def _add_grid_flags(parser, default_half: float = 4.0, default_n: int = 128) -> None:
@@ -187,7 +198,7 @@ def cmd_wigner(args) -> int:
         _validated(ModeIndex.lg, j, k)
         xs, ys = _grid_axes(args)
         if args.kind == "lg_diag":
-            _require_finite(xi1=args.xi1, xi2=args.xi2)
+            _require_coordinates(xi1=args.xi1, xi2=args.xi2)
         start = time.perf_counter()
         if args.kind == "hermite":
             values = wigner_hermite_closed(j, k, xs[:, None], ys[None, :])
@@ -223,7 +234,8 @@ def cmd_beam(args) -> int:
     xs, ys = _grid_axes(args)
     params = _validated(BeamParams, args.w0, args.k)
     index = _validated(BeamIndex, *args.index)
-    _require_finite(z=args.z)
+    _require_coordinates(z=args.z)
+    _validated(beam_geometry, params, args.z)
     start = time.perf_counter()
     r = np.hypot(xs[:, None], ys[None, :])
     phi = np.arctan2(ys[None, :], xs[:, None])

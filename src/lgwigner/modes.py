@@ -18,6 +18,7 @@ import numpy as np
 
 from .specfun import (
     MAX_DEGREE,
+    _scalars_as_arrays,
     hermite_function,
     hermite_function_derivative,
     laguerre,
@@ -158,41 +159,33 @@ def _inv_sqrt_factorial_ratio(lo: int, hi: int) -> float:
     return out
 
 
+@_scalars_as_arrays(float, "x", "y")
 def hg_mode(index: ModeIndex, x, y) -> float | np.ndarray:
     """Hermite-Gaussian mode: the tensor product h_j(x) h_k(y)."""
     index._require(Basis.HG)
     return hermite_function(index.first, x) * hermite_function(index.second, y)
 
 
+@_scalars_as_arrays(complex, "x", "y")
 def lg_mode(index: ModeIndex, x, y) -> complex | np.ndarray:
     """Laguerre-Gaussian mode at position (x, y), with z = x + iy.
 
-    For ``n_plus >= n_minus`` the value is
+    With ``lo, hi = sorted((n_plus, n_minus))`` the value is
 
-        pi**-0.5 sqrt(n_minus!/n_plus!) (-1)**n_minus z**(n_plus-n_minus)
-        exp(-|z|**2/2) L^(n_plus-n_minus)_n_minus(|z|**2)
+        pi**-0.5 sqrt(lo!/hi!) (-1)**lo w**(hi-lo)
+        exp(-|z|**2/2) L^(hi-lo)_lo(|z|**2)
 
-    and the mirror branch (z replaced by its conjugate, roles of the two
-    indices swapped) covers ``n_plus <= n_minus``. The branches agree when
-    the indices are equal.
+    where w is z when ``n_plus >= n_minus`` and its conjugate otherwise.
     """
     index._require(Basis.LG)
-    n_plus, n_minus = index.first, index.second
+    lo, hi = sorted((index.first, index.second))
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     z = xa + 1j * ya
     rho = xa * xa + ya * ya
-    if n_plus >= n_minus:
-        amp = _inv_sqrt_factorial_ratio(n_minus, n_plus) * (-1.0) ** n_minus
-        value = amp / np.sqrt(np.pi) * z ** (n_plus - n_minus)
-        value = value * np.exp(-0.5 * rho) * laguerre(n_minus, n_plus - n_minus, rho)
-    else:
-        amp = _inv_sqrt_factorial_ratio(n_plus, n_minus) * (-1.0) ** n_plus
-        value = amp / np.sqrt(np.pi) * np.conj(z) ** (n_minus - n_plus)
-        value = value * np.exp(-0.5 * rho) * laguerre(n_plus, n_minus - n_plus, rho)
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return complex(value)
-    return value
+    amp = _inv_sqrt_factorial_ratio(lo, hi) * (-1.0) ** lo
+    value = amp / np.sqrt(np.pi) * (z if index.first >= index.second else np.conj(z)) ** (hi - lo)
+    return value * np.exp(-0.5 * rho) * laguerre(lo, hi - lo, rho)
 
 
 def lg_eigenvalues(index: ModeIndex) -> tuple[int, int]:
@@ -262,25 +255,19 @@ class _LGField:
         return lg_mode(self.index, x, y)
 
     def _wirtinger(self, x, y):
-        n_plus, n_minus = self.index.first, self.index.second
+        conjugated = self.index.first < self.index.second
+        lo, hi = sorted((self.index.first, self.index.second))
+        alpha = hi - lo
         xa = np.asarray(x, dtype=float)
         ya = np.asarray(y, dtype=float)
         z = xa + 1j * ya
         zbar = np.conj(z)
         rho = xa * xa + ya * ya
-        if n_plus >= n_minus:
-            alpha = n_plus - n_minus
-            order = n_minus
-            amp = _inv_sqrt_factorial_ratio(n_minus, n_plus) * (-1.0) ** n_minus
-            power_base, other = z, zbar
-        else:
-            alpha = n_minus - n_plus
-            order = n_plus
-            amp = _inv_sqrt_factorial_ratio(n_plus, n_minus) * (-1.0) ** n_plus
-            power_base, other = zbar, z
+        power_base, other = (zbar, z) if conjugated else (z, zbar)
+        amp = _inv_sqrt_factorial_ratio(lo, hi) * (-1.0) ** lo
         coeff = amp / np.sqrt(np.pi) * np.exp(-0.5 * rho)
-        lag = laguerre(order, alpha, rho)
-        dlag = -laguerre(order - 1, alpha + 1, rho) if order > 0 else 0.0
+        lag = laguerre(lo, alpha, rho)
+        dlag = -laguerre(lo - 1, alpha + 1, rho) if lo > 0 else 0.0
         pw = power_base**alpha
         # derivative along the powered variable and along the other one
         d_power = coeff * (
@@ -288,9 +275,7 @@ class _LGField:
             + pw * other * (dlag - 0.5 * lag)
         )
         d_other = coeff * pw * power_base * (dlag - 0.5 * lag)
-        if n_plus >= n_minus:
-            return d_power, d_other  # (d/dz, d/dzbar)
-        return d_other, d_power
+        return (d_other, d_power) if conjugated else (d_power, d_other)  # (d/dz, d/dzbar)
 
     def partial_x(self, x, y):
         dz, dzbar = self._wirtinger(x, y)
@@ -311,6 +296,7 @@ def lg_field(index: ModeIndex) -> _LGField:
     return _LGField(index)
 
 
+@_scalars_as_arrays(complex, "x", "y")
 def apply_operator_pointwise(
     op: LadderOp,
     f,
@@ -330,13 +316,14 @@ def apply_operator_pointwise(
     op : LadderOp
         Operator to apply.
     f : callable
-        Field ``f(x, y) -> complex``. In ``"analytic"`` mode it must be a
-        basis field from :func:`hg_field` or :func:`lg_field` (anything
-        exposing ``partial_x``/``partial_y``).
+        Field ``f(x, y) -> complex``, always called with numpy arrays (a
+        scalar point arrives as one-element arrays), so it must accept
+        them. In ``"analytic"`` mode it must be a basis field from
+        :func:`hg_field` or :func:`lg_field` (anything exposing
+        ``partial_x``/``partial_y``).
     x, y : float or array_like
-        Evaluation points, broadcast against each other; ``f`` must
-        accept arrays when they are arrays. Scalar input returns a
-        ``complex``, array input an array of the broadcast shape.
+        Evaluation points, broadcast against each other. Scalar input
+        returns a ``complex``, array input an array of the broadcast shape.
     mode : {"finite_difference", "analytic"}
         How the partial derivatives are obtained. Central differences use
         ``step`` (default 1e-5, balancing truncation against rounding).
@@ -355,7 +342,4 @@ def apply_operator_pointwise(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     f0 = f(x, y)
-    value = cx * x * f0 + cdx * fx + cy * y * f0 + cdy * fy
-    if np.ndim(value) == 0:
-        return complex(value)
-    return value
+    return cx * x * f0 + cdx * fx + cy * y * f0 + cdy * fy

@@ -9,6 +9,9 @@ and are pure, so they are safe to call concurrently.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
 from collections import deque
 
 import numpy as np
@@ -41,12 +44,45 @@ def _as_finite_array(x, name: str = "x") -> np.ndarray:
     return arr
 
 
-def _scalar_or_array(value: np.ndarray, template) -> float | np.ndarray:
-    if np.ndim(template) == 0:
-        return float(value)
-    return value
+def _fields(value) -> list:
+    """A coordinate argument's values: a dataclass point's fields, or itself."""
+    return list(vars(value).values()) if dataclasses.is_dataclass(value) else [value]
 
 
+def _one_element(value):
+    ones = [np.reshape(v, 1) for v in _fields(value)]
+    return type(value)(*ones) if dataclasses.is_dataclass(value) else ones[0]
+
+
+def _scalars_as_arrays(kind: type, *coords: str):
+    """Decorator giving an array kernel the package's one scalar rule.
+
+    When every argument named in ``coords`` (by position or keyword) is a
+    scalar, 0-d arrays included, and a dataclass point counts by its
+    fields, the kernel runs on one-element arrays and returns its single
+    value as ``kind``. Numpy rounds scalar arithmetic apart from array
+    arithmetic, so this gives a point the same bits alone as in an array.
+    """
+
+    def decorate(kernel):
+        names = list(inspect.signature(kernel).parameters)
+        slots = {names.index(name) for name in coords}
+
+        @functools.wraps(kernel)
+        def evaluate(*args, **kwargs):
+            named = dict(zip(names, args), **kwargs)
+            if any(name not in named or any(map(np.ndim, _fields(named[name]))) for name in coords):
+                return kernel(*args, **kwargs)
+            args = [_one_element(v) if i in slots else v for i, v in enumerate(args)]
+            kwargs = {k: _one_element(v) if k in coords else v for k, v in kwargs.items()}
+            return kind(kernel(*args, **kwargs).item())
+
+        return evaluate
+
+    return decorate
+
+
+@_scalars_as_arrays(float, "x")
 def hermite_poly(n: int, x) -> float | np.ndarray:
     """Physicists' Hermite polynomial H_n(x).
 
@@ -65,11 +101,11 @@ def hermite_poly(n: int, x) -> float | np.ndarray:
     arr = _as_finite_array(x)
     h_prev = np.ones_like(arr)
     if n == 0:
-        return _scalar_or_array(h_prev, x)
+        return h_prev
     h_cur = 2.0 * arr
     for k in range(1, n):
         h_prev, h_cur = h_cur, 2.0 * arr * h_cur - 2.0 * k * h_prev
-    return _scalar_or_array(h_cur, x)
+    return h_cur
 
 
 def _hermite_rows(nmax: int, arr: np.ndarray):
@@ -88,6 +124,7 @@ def _hermite_rows(nmax: int, arr: np.ndarray):
         yield h_cur
 
 
+@_scalars_as_arrays(float, "x")
 def hermite_function(n: int, x) -> float | np.ndarray:
     """Orthonormal Hermite function h_n(x).
 
@@ -109,7 +146,7 @@ def hermite_function(n: int, x) -> float | np.ndarray:
     """
     _check_degree(n)
     arr = _as_finite_array(x)
-    return _scalar_or_array(deque(_hermite_rows(n, arr), maxlen=1)[0], x)
+    return deque(_hermite_rows(n, arr), maxlen=1)[0]
 
 
 def hermite_function_table(nmax: int, x) -> np.ndarray:
@@ -127,6 +164,7 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     return out
 
 
+@_scalars_as_arrays(float, "x")
 def hermite_function_derivative(n: int, x) -> float | np.ndarray:
     """Derivative h_n'(x) from the ladder relation.
 
@@ -141,9 +179,10 @@ def hermite_function_derivative(n: int, x) -> float | np.ndarray:
         value = -np.sqrt(0.5) * rows[-1]
     else:
         value = np.sqrt(n / 2.0) * rows[0] - np.sqrt((n + 1) / 2.0) * rows[-1]
-    return _scalar_or_array(value, x)
+    return value
 
 
+@_scalars_as_arrays(float, "x")
 def laguerre(n: int, alpha: int, x) -> float | np.ndarray:
     """Generalized Laguerre polynomial L^alpha_n(x) for integer alpha >= 0.
 
@@ -159,10 +198,10 @@ def laguerre(n: int, alpha: int, x) -> float | np.ndarray:
     arr = _as_finite_array(x)
     l_prev = np.ones_like(arr)
     if n == 0:
-        return _scalar_or_array(l_prev, x)
+        return l_prev
     l_cur = 1.0 + alpha - arr
     for k in range(1, n):
         l_prev, l_cur = l_cur, (
             ((2.0 * k + 1.0 + alpha - arr) * l_cur - (k + alpha) * l_prev) / (k + 1.0)
         )
-    return _scalar_or_array(l_cur, x)
+    return l_cur

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import hermite_function_table, laguerre
-from .specfun import _check_degree  # shared degree validation
+from .specfun import _check_degree, _scalars_as_arrays  # shared validation and scalar rule
 
 __all__ = [
     "QuadratureSpec",
@@ -207,6 +207,8 @@ class Grid2D:
         for name, (lo, hi, count) in (("x_axis", self.x_axis), ("y_axis", self.y_axis)):
             if count < 2:
                 raise ValueError(f"{name} count must be at least 2")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} bounds must be finite")
             if not lo < hi:
                 raise ValueError(f"{name} must be strictly increasing")
         nx, ny = self.x_axis[2], self.y_axis[2]
@@ -232,10 +234,6 @@ class Grid2D:
 
 # ---------------------------------------------------------------------------
 # quadrature oracles
-
-
-def _complex_or_array(value: np.ndarray) -> complex | np.ndarray:
-    return complex(value) if np.ndim(value) == 0 else value
 
 
 def wigner1d(f, g, x, xi, quad: QuadratureSpec | None = None) -> complex | np.ndarray:
@@ -298,6 +296,7 @@ def wigner1d_grid(f, g, xs, xis, quad: QuadratureSpec | None = None) -> np.ndarr
     return extended_wigner_grid(lambda u, v: np.conj(f(u)) * g(v), xs, xis, quad)
 
 
+@_scalars_as_arrays(complex, "x", "y")
 def extended_wigner(F, x, y, quad: QuadratureSpec | None = None) -> complex | np.ndarray:
     """Extended Wigner transform of a function of two variables, pointwise.
 
@@ -309,7 +308,7 @@ def extended_wigner(F, x, y, quad: QuadratureSpec | None = None) -> complex | np
     x, y = (a[..., None] for a in np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float)))
     vals = F((x + p) / SQRT2, (x - p) / SQRT2)
     acc = np.sum(w * np.exp(1j * p * y) * vals, axis=-1)
-    return _complex_or_array(acc / np.sqrt(_TWO_PI))
+    return acc / np.sqrt(_TWO_PI)
 
 
 def extended_wigner_grid(F, xs, ys, quad: QuadratureSpec | None = None) -> np.ndarray:
@@ -415,19 +414,16 @@ def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
 # closed forms
 
 
+@_scalars_as_arrays(complex, "x", "y")
 def wigner_hermite_closed(j: int, k: int, x, y) -> complex | np.ndarray:
     """Closed form of W(h_j, h_k)(x, y) with z = x + iy.
 
     Equal to the LG mode with circular quanta (j, k) evaluated at the
     same point; the two are kept as separate code paths on purpose so
-    they can cross-check each other. Scalar input goes through the same
-    array arithmetic as one-element arrays and returns a ``complex``, so
-    a point gives the same bits alone as inside an array.
+    they can cross-check each other.
     """
     _check_degree(j, "j")
     _check_degree(k, "k")
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return complex(wigner_hermite_closed(j, k, np.reshape(x, 1), np.reshape(y, 1))[0])
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     z = xa + 1j * ya
@@ -441,32 +437,15 @@ def wigner_hermite_closed(j: int, k: int, x, y) -> complex | np.ndarray:
     return scale * power * np.exp(-0.5 * rho) * laguerre(lo, alpha, rho)
 
 
-def _one_element_arrays(point: PhasePoint4) -> PhasePoint4 | None:
-    """``point`` with every field as a one-element array, or None if any
-    field is already an array.
-
-    Numpy rounds complex array powers and products differently from
-    Python's complex scalars, so the closed forms evaluate a scalar point
-    this way to give the same bits as the point inside an array.
-    """
-    fields = (point.x1, point.x2, point.xi1, point.xi2)
-    if any(np.ndim(v) for v in fields):
-        return None
-    return PhasePoint4(*(np.reshape(v, 1) for v in fields))
-
-
+@_scalars_as_arrays(complex, "point")
 def wigner_lg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> complex | np.ndarray:
     """Wigner transform of LG modes as a product of two closed forms.
 
     W2 of the LG pair with circular quanta (j, k) and (m, n) factors into
     closed forms evaluated at quarter-turn-rotated phase-space arguments.
     A point with array fields gives an array of the broadcast shape,
-    scalar fields a ``complex`` equal bit for bit to the same point's
-    entry in an array.
+    scalar fields a ``complex``.
     """
-    single = _one_element_arrays(point)
-    if single is not None:
-        return complex(wigner_lg_closed(j, k, m, n, single)[0])
     u1 = (point.x1 + point.xi2) / SQRT2
     v1 = (point.xi1 - point.x2) / SQRT2
     u2 = (point.x1 - point.xi2) / SQRT2
@@ -479,10 +458,10 @@ def _diag_closed(j: int, k: int, q0, q) -> float | np.ndarray:
     _check_degree(j, "j")
     _check_degree(k, "k")
     value = (-1.0) ** (j + k) / np.pi * np.exp(-q0)
-    value = value * laguerre(j, 0, q0 + q) * laguerre(k, 0, q0 - q)
-    return float(value) if np.ndim(value) == 0 else value
+    return value * laguerre(j, 0, q0 + q) * laguerre(k, 0, q0 - q)
 
 
+@_scalars_as_arrays(float, "point")
 def wigner_lg_diag(j: int, k: int, point: PhasePoint4) -> float | np.ndarray:
     """Diagonal LG Wigner transform, always real.
 
@@ -493,19 +472,18 @@ def wigner_lg_diag(j: int, k: int, point: PhasePoint4) -> float | np.ndarray:
     return _diag_closed(j, k, point.q0, point.q2)
 
 
+@_scalars_as_arrays(complex, "point")
 def wigner_hg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> complex | np.ndarray:
     """Wigner transform of HG modes: a product of closed forms per axis.
 
     Takes array fields and scalar fields as :func:`wigner_lg_closed` does.
     """
-    single = _one_element_arrays(point)
-    if single is not None:
-        return complex(wigner_hg_closed(j, k, m, n, single)[0])
     return wigner_hermite_closed(j, m, point.x1, point.xi1) * wigner_hermite_closed(
         k, n, point.x2, point.xi2
     )
 
 
+@_scalars_as_arrays(float, "point")
 def wigner_hg_diag(j: int, k: int, point: PhasePoint4) -> float | np.ndarray:
     """Diagonal HG Wigner transform: :func:`wigner_lg_diag` with q3 in
     place of q2. Always real; array fields give an array."""

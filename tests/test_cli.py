@@ -261,6 +261,13 @@ def test_internal_value_error_exits_4(monkeypatch, tmp_path, capsys):
         (["beam", "--index", "0", "0", "--w0", "-1", "--k", "2"], "w0 must be positive and finite"),
         (["beam", "--index", "0", "65", "--w0", "1", "--k", "2"], "|ell|=65 exceeds 64"),
         (["verify", "beam", "--seed", "-1"], "seed must be non-negative"),
+        # finite, but past the coordinate and Rayleigh-range domain
+        (["modes", "lg", "--index", "0", "0", "--xmin=-1e200", "--xmax", "1e200"], "xmin must lie in"),
+        (["beam", "--index", "0", "0", "--w0", "1e-200", "--k", "1", "--z", "1"], "zR = k w0**2 / 2"),
+        (["beam", "--index", "0", "0", "--w0", "1", "--k", "1", "--z", "1e300"], "z must lie in"),
+        (["beam", "--index", "0", "0", "--w0", "1e200", "--k", "1"], "w0 must be at most 1e150"),
+        (["wigner", "lg_diag", "--indices", "0", "0", "--xi1", "1e200"], "xi1 must lie in"),
+        (["beam", "--index", "0", "0", "--w0", "1e-100", "--k", "1", "--z", "1"], "1e150 Rayleigh ranges"),
     ],
 )
 def test_invalid_user_input_exits_2(tmp_path, capsys, argv, message):
@@ -274,7 +281,7 @@ def test_invalid_user_input_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "0x1p3", ""])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "0x1p3", "", "1e200", "-1.5e150"])
 def test_points_file_non_finite_or_malformed_token_exits_2(tmp_path, capsys, token):
     pts = tmp_path / "pts.csv"
     pts.write_text(f"x1,x2,xi1,xi2\n0.5,0.5,0.5,0.5\n0.5,{token},0.5,0.5\n")

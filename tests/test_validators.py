@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from lgwigner.beam import BeamIndex, BeamParams  # noqa: E402
@@ -30,6 +30,7 @@ non_integers = st.one_of(
 )
 floats = st.floats()
 finite = st.floats(-1e6, 1e6)
+bounds = st.one_of(finite, st.sampled_from([math.inf, -math.inf, math.nan]))
 
 
 @pinned
@@ -78,7 +79,9 @@ def test_beam_index_rejects_non_integers(bad, good, bad_p):
 @pinned
 @given(floats, floats)
 def test_beam_params_accept_exactly_positive_finite_values(w0, k):
-    if all(math.isfinite(v) and v > 0 for v in (w0, k)):
+    # w0 <= 1e150 keeps w0**2 finite; the Rayleigh range must be a
+    # positive, finite value too
+    if all(math.isfinite(v) and v > 0 for v in (w0, k)) and w0 <= 1e150 and 0 < 0.5 * k * w0**2 < math.inf:
         params = BeamParams(w0, k)
         assert (params.w0, params.k) == (w0, k)
     else:
@@ -117,12 +120,15 @@ def test_phase_point_accepts_exactly_finite_fields(coords, as_arrays):
 
 
 @pinned
-@given(finite, finite, st.integers(-2, 6), finite, finite, st.integers(-2, 6), st.integers(0, 40))
+@given(bounds, bounds, st.integers(-2, 6), bounds, bounds, st.integers(-2, 6), st.integers(0, 40))
+@example(-math.inf, math.inf, 4, -1.0, 1.0, 4, 16)  # linspace would give [nan, nan, nan, inf]
+@example(-1.0, 1.0, 4, 0.0, math.inf, 4, 16)
 def test_grid_accepts_exactly_increasing_axes_of_two_or_more_matching_values(
     x_lo, x_hi, nx, y_lo, y_hi, ny, size
 ):
     args = ((x_lo, x_hi, nx), (y_lo, y_hi, ny), np.zeros(size))
-    if x_lo < x_hi and y_lo < y_hi and nx >= 2 and ny >= 2 and size == nx * ny:
+    finite_bounds = all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi)))
+    if finite_bounds and x_lo < x_hi and y_lo < y_hi and nx >= 2 and ny >= 2 and size == nx * ny:
         assert Grid2D(*args).values.shape == (nx, ny)
     else:
         with pytest.raises(ValueError):

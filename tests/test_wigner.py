@@ -466,6 +466,36 @@ def test_hermite_closed_on_arrays_matches_pointwise_bitwise(j, k):
     assert type(wigner_hermite_closed(j, k, 0.3, -1.2)) is complex
 
 
+_LG_FORMS = {
+    "lg_mode": lambda j, k, x, y: lg_mode(ModeIndex.lg(j, k), x, y),
+    "wigner_hermite_closed": wigner_hermite_closed,
+}
+
+
+@pytest.mark.parametrize(
+    "form, j, k",
+    [("lg_mode", 64, 0), ("lg_mode", 0, 64), ("lg_mode", 32, 32), ("lg_mode", 40, 24)]
+    + [("wigner_hermite_closed", 64, 64), ("wigner_hermite_closed", 64, 32), ("wigner_hermite_closed", 40, 40)],
+)
+def test_lg_forms_at_max_degree_match_mpmath(form, j, k):
+    """Orders up to MAX_DEGREE against the closed form in 40-digit
+    arithmetic, over the square |x|, |y| <= 13 that holds these modes."""
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = sorted((j, k))
+
+    def exact(x, y):
+        with mpmath.workdps(40):
+            z = mpmath.mpc(x, y) if j >= k else mpmath.mpc(x, -y)
+            rho = mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2
+            scale = (-1) ** lo * mpmath.sqrt(mpmath.factorial(lo) / (mpmath.factorial(hi) * mpmath.pi))
+            return complex(scale * z ** (hi - lo) * mpmath.exp(-rho / 2) * mpmath.laguerre(lo, hi - lo, rho))
+
+    x, y = np.random.default_rng([22, j, k]).uniform(-13.0, 13.0, size=(2, 40))
+    want = np.array([exact(a, b) for a, b in zip(x, y)])
+    assert np.abs(want).max() > 0.05  # the samples reach the modes' bulk
+    assert np.abs(_LG_FORMS[form](j, k, x, y) - want).max() <= 1e-14
+
+
 @pytest.mark.parametrize("closed", [wigner_lg_closed, wigner_hg_closed])
 @pytest.mark.parametrize("indices", [(2, 1, 0, 3), (1, 2, 3, 0), (3, 1, 1, 3)])
 def test_general_closed_forms_on_arrays_match_pointwise_bitwise(closed, indices):
