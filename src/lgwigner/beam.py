@@ -126,6 +126,14 @@ def beam_field(
     geom = beam_geometry(params, z)
     w = geom.w
     ell_abs = abs(index.ell)
+    # r**2 / w**2 may overflow to inf, whose Gaussian is the 0 it should be
+    with np.errstate(over="ignore"):
+        gauss = np.exp(-(ra * ra) / (w * w))
+    # where the Gaussian underflows the value is 0: zero r there first, so
+    # neither the power of r nor the polynomial can overflow (r is the
+    # caller's array, so in a copy)
+    dead = gauss == 0
+    ra = np.where(dead, 0.0, ra)
     total_phase = (
         index.ell * pa
         - params.k * z
@@ -133,11 +141,13 @@ def beam_field(
         - (2 * index.p + index.ell + 1) * geom.gouy
     )
     radial = (
-        np.exp(-(ra * ra) / (w * w))
+        gauss
         * (ra * np.sqrt(2.0) / w) ** ell_abs
         * laguerre(index.p, ell_abs, 2.0 * ra * ra / (w * w))
     )
     value = np.exp(-1j * total_phase) * radial
     if normalized:
         value = value * (np.sqrt(2.0 * _factorial_ratio(index.p, ell_abs) / np.pi) / w)
+    # phi may broadcast the value past the mask's shape
+    value[np.broadcast_to(dead, value.shape)] = 0
     return value

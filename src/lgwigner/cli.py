@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite")
     p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--budget", choices=("quick", "full"), default="quick")
+    p_ver.add_argument("--budget", choices=("full",), default="full")
     p_ver.add_argument("--out", help="write the JSON report here")
     p_ver.set_defaults(func=cmd_verify)
 

@@ -183,9 +183,17 @@ def lg_mode(index: ModeIndex, x, y) -> complex | np.ndarray:
     ya = np.asarray(y, dtype=float)
     z = xa + 1j * ya
     rho = xa * xa + ya * ya
+    gauss = np.exp(-0.5 * rho)
+    # where the Gaussian underflows the value is 0: zero the point there
+    # first, so neither the power of z nor the polynomial can overflow
+    # (in place: z, rho and the value are new arrays of the mask's shape)
+    dead = gauss == 0
+    z[dead] = rho[dead] = 0
     amp = _inv_sqrt_factorial_ratio(lo, hi) * (-1.0) ** lo
     value = amp / np.sqrt(np.pi) * (z if index.first >= index.second else np.conj(z)) ** (hi - lo)
-    return value * np.exp(-0.5 * rho) * laguerre(lo, hi - lo, rho)
+    value = value * gauss * laguerre(lo, hi - lo, rho)
+    value[dead] = 0
+    return value
 
 
 def lg_eigenvalues(index: ModeIndex) -> tuple[int, int]:
@@ -260,12 +268,17 @@ class _LGField:
         alpha = hi - lo
         xa = np.asarray(x, dtype=float)
         ya = np.asarray(y, dtype=float)
-        z = xa + 1j * ya
-        zbar = np.conj(z)
         rho = xa * xa + ya * ya
+        gauss = np.exp(-0.5 * rho)
+        # zero the point where the Gaussian underflows, as lg_mode does, but
+        # not in place: called directly, the partials may get scalars
+        dead = gauss == 0
+        z = np.where(dead, 0, xa + 1j * ya)
+        zbar = np.conj(z)
+        rho = np.where(dead, 0.0, rho)
         power_base, other = (zbar, z) if conjugated else (z, zbar)
         amp = _inv_sqrt_factorial_ratio(lo, hi) * (-1.0) ** lo
-        coeff = amp / np.sqrt(np.pi) * np.exp(-0.5 * rho)
+        coeff = amp / np.sqrt(np.pi) * gauss
         lag = laguerre(lo, alpha, rho)
         dlag = -laguerre(lo - 1, alpha + 1, rho) if lo > 0 else 0.0
         pw = power_base**alpha
@@ -275,6 +288,7 @@ class _LGField:
             + pw * other * (dlag - 0.5 * lag)
         )
         d_other = coeff * pw * power_base * (dlag - 0.5 * lag)
+        d_power, d_other = np.where(dead, 0, d_power), np.where(dead, 0, d_other)
         return (d_other, d_power) if conjugated else (d_power, d_other)  # (d/dz, d/dzbar)
 
     def partial_x(self, x, y):
@@ -303,7 +317,6 @@ def apply_operator_pointwise(
     x,
     y,
     mode: str = "finite_difference",
-    step: float = DEFAULT_FD_STEP,
 ) -> complex | np.ndarray:
     """Apply a ladder operator to a field at a point or an array of points.
 
@@ -325,10 +338,11 @@ def apply_operator_pointwise(
         Evaluation points, broadcast against each other. Scalar input
         returns a ``complex``, array input an array of the broadcast shape.
     mode : {"finite_difference", "analytic"}
-        How the partial derivatives are obtained. Central differences use
-        ``step`` (default 1e-5, balancing truncation against rounding).
+        How the partial derivatives are obtained. Central differences step
+        by ``DEFAULT_FD_STEP`` = 1e-5, balancing truncation and rounding.
     """
     cx, cdx, cy, cdy = _OP_POINTWISE[op]
+    step = DEFAULT_FD_STEP
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if mode == "analytic":

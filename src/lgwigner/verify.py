@@ -2,15 +2,15 @@
 into named suites with per-check tolerances and machine-readable reports.
 
 Each suite draws its sample points from a seeded generator, so a report
-is reproducible from ``(suite, seed, budget)``. The ``quick`` budget caps
-mode indices at 3 and random samples at 8 per check; ``full`` runs the
-documented limits. Tolerances are fixed per check from the quadrature
-error budget: 1e-10 to 1e-12 where only closed forms and spectrally
-accurate quadrature meet, loosened to 1e-6 where finite differences,
-the sampled rotate-plus-FFT grid, or the two-dimensional oracle enter.
-Every oracle call sizes its quadrature with :meth:`QuadratureSpec.for_degree` from the
-mode degrees of its integrand and the largest frequency it is evaluated
-at, and from nothing else: not a closed form's value, not the seed itself.
+is reproducible from ``(suite, seed)``. There is one budget, ``full``:
+each suite runs at one size, its documented limits. Tolerances are
+fixed per check from the quadrature error budget: 1e-10 to 1e-12 where
+only closed forms and spectrally accurate quadrature meet, loosened to
+1e-6 where finite differences, the sampled rotate-plus-FFT grid, or the
+two-dimensional oracle enter. Every oracle call sizes its quadrature
+with :meth:`QuadratureSpec.for_degree` from the mode degrees of its
+integrand and the largest frequency it is evaluated at, and from
+nothing else: not a closed form's value, not the seed itself.
 """
 
 from __future__ import annotations
@@ -107,14 +107,14 @@ class CheckResult:
 
 @dataclass
 class SuiteReport:
-    """All check results of one suite run, with the seed and budget that
-    produced it."""
+    """All check results of one suite run, with the seed that produced it
+    and the one budget, ``"full"``, that it ran at."""
 
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
     passed: bool = True
     seed: int = 0
-    budget: str = "quick"
+    budget: str = "full"
 
     def as_dict(self) -> dict:
         return {
@@ -204,7 +204,10 @@ def _draws(rng, count: int, nints: int, high: int, nreals: int):
 
 
 def _superposition_1d(coeffs: np.ndarray):
-    return lambda t: np.einsum("j,j...->...", coeffs, hermite_function_table(len(coeffs) - 1, t))
+    """Field of a stack of superpositions: ``out[b] = sum c[b, j] h_j(t[b])``
+    for coefficient rows ``c[b]`` and the matching rows ``t[b]`` of ``t``."""
+    deg = coeffs.shape[-1] - 1
+    return lambda t: np.einsum("bj,jb...->b...", coeffs, hermite_function_table(deg, t))
 
 
 def _superposition_2d(coeffs: np.ndarray):
@@ -232,23 +235,25 @@ def _random_coeffs(rng, shape) -> np.ndarray:
 # suites
 
 
-def _suite_properties(seed: int, quick: bool) -> list[CheckResult]:
+def _suite_properties(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 1])
-    deg = 3 if quick else 8
+    deg = 8
     checks = []
 
     def hermiticity():
-        npairs = 2 if quick else 3
-        npts = 8 if quick else 50
-        worst = 0.0
-        for _ in range(npairs):
-            f = _superposition_1d(_random_coeffs(rng, deg + 1))
-            g = _superposition_1d(_random_coeffs(rng, deg + 1))
-            x, xi = rng.uniform(-2.0, 2.0, size=(npts, 2)).T
-            quad = _sized(2 * deg, xi)
-            err = np.abs(wigner1d(f, g, x, xi, quad) - np.conj(wigner1d(g, f, x, xi, quad)))
-            worst = max(worst, err.max())
-        return worst, npairs * npts
+        npairs, npts = 3, 50
+        # per pair, in the order of separate draws: f's coefficients, g's, the points
+        draws = [
+            (_random_coeffs(rng, deg + 1), _random_coeffs(rng, deg + 1), rng.uniform(-2.0, 2.0, (npts, 2)))
+            for _ in range(npairs)
+        ]
+        f_coeffs, g_coeffs, points = map(np.array, zip(*draws))
+        f, g = _superposition_1d(f_coeffs), _superposition_1d(g_coeffs)
+        x, xi = points[..., 0], points[..., 1]
+        # one spec from every pair's frequencies and one stacked call per side
+        quad = _sized(2 * deg, xi)
+        err = np.abs(wigner1d(f, g, x, xi, quad) - np.conj(wigner1d(g, f, x, xi, quad)))
+        return err.max(), npairs * npts
 
     checks.append(_timed("hermiticity", 1e-12, hermiticity))
 
@@ -258,7 +263,7 @@ def _suite_properties(seed: int, quick: bool) -> list[CheckResult]:
     p_axis, p_w = outer.grid()
 
     def xi_marginal():
-        xs = rng.uniform(-2.0, 2.0, size=2 if quick else 4)
+        xs = rng.uniform(-2.0, 2.0, size=4)
         m, n = _all_pairs(deg)
         lhs = wigner1d_grid(_h_stack(m), _h_stack(n), xs, p_axis, _sized(2 * deg, p_axis)) @ p_w
         h = hermite_function_table(deg, xs / SQRT2)
@@ -268,7 +273,7 @@ def _suite_properties(seed: int, quick: bool) -> list[CheckResult]:
     checks.append(_timed("xi_marginal", 1e-8, xi_marginal))
 
     def x_marginal():
-        xis = rng.uniform(-2.0, 2.0, size=2 if quick else 4)
+        xis = rng.uniform(-2.0, 2.0, size=4)
         m, n = _all_pairs(deg)
         lhs = p_w @ wigner1d_grid(_h_stack(m), _h_stack(n), p_axis, xis, _sized(2 * deg, xis))
         # Fourier transform of each mode is itself times (-i)**degree, so
@@ -290,8 +295,8 @@ def _suite_properties(seed: int, quick: bool) -> list[CheckResult]:
     return checks
 
 
-def _suite_moyal(seed: int, quick: bool) -> list[CheckResult]:
-    deg = 3 if quick else 5
+def _suite_moyal(seed: int) -> list[CheckResult]:
+    deg = 5
 
     def moyal():
         axis, w = _trap_axis(-10.0, 10.0, 201)
@@ -305,11 +310,11 @@ def _suite_moyal(seed: int, quick: bool) -> list[CheckResult]:
     return [_timed("moyal_kronecker", 1e-8, moyal)]
 
 
-def _suite_orthogonality(seed: int, quick: bool) -> list[CheckResult]:
+def _suite_orthogonality(seed: int) -> list[CheckResult]:
     checks = []
 
     def hermite_orthonormality():
-        nmax = 3 if quick else 12
+        nmax = 12
         p, w = DEFAULT_QUAD.grid()
         gram = _gram(hermite_function_table(nmax, p), w)
         return np.abs(gram - np.eye(nmax + 1)).max(), (nmax + 1) ** 2
@@ -317,7 +322,7 @@ def _suite_orthogonality(seed: int, quick: bool) -> list[CheckResult]:
     checks.append(_timed("hermite_orthonormality", 1e-10, hermite_orthonormality))
 
     def lg_orthonormality():
-        cap = 3 if quick else 4
+        cap = 4
         axis, w = _trap_axis(-8.0, 8.0, 161)
         gram = _gram(_lg_stack(cap, axis[:, None], axis[None, :]), np.outer(w, w))
         return np.abs(gram - np.eye(len(gram))).max(), len(gram) ** 2
@@ -334,9 +339,8 @@ _INTERTWINE_PAIRS = (
 )
 
 
-def _suite_intertwine(seed: int, quick: bool) -> list[CheckResult]:
-    cap = 3 if quick else 4
-    npts = 8 if quick else 50
+def _suite_intertwine(seed: int) -> list[CheckResult]:
+    cap, npts = 4, 50
     hg = _hg_stack(*_all_pairs(cap))
     checks = []
     for tag, (name, circ_op, cart_op) in enumerate(_INTERTWINE_PAIRS):
@@ -365,8 +369,8 @@ def _suite_intertwine(seed: int, quick: bool) -> list[CheckResult]:
     return checks
 
 
-def _suite_closedforms(seed: int, quick: bool) -> list[CheckResult]:
-    cap = 3 if quick else 8
+def _suite_closedforms(seed: int) -> list[CheckResult]:
+    cap = 8
     xs = np.linspace(-4.0, 4.0, 21)
     mesh_x, mesh_y = xs[:, None], xs[None, :]
     checks = []
@@ -388,7 +392,7 @@ def _suite_closedforms(seed: int, quick: bool) -> list[CheckResult]:
     checks.append(_timed("lg_mode_equals_hermite_closed", 1e-12, lg_equals_closed))
 
     def hg_to_lg():
-        cap2 = 3 if quick else 6
+        cap2 = 6
         sample = np.linspace(-3.0, 3.0, 11)
         quad = _sized(2 * cap2, sample)
         transformed = extended_wigner_grid(_hg_stack(*_all_pairs(cap2)), sample, sample, quad)
@@ -406,7 +410,7 @@ def _suite_closedforms(seed: int, quick: bool) -> list[CheckResult]:
     return checks
 
 
-def _suite_product_theorem(seed: int, quick: bool) -> list[CheckResult]:
+def _suite_product_theorem(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 6])
 
     def product(count, field, closed, degree):
@@ -424,7 +428,7 @@ def _suite_product_theorem(seed: int, quick: bool) -> list[CheckResult]:
     def diagonal(closed, diag):
         """Closed form at (j, k, j, k) against the diagonal form at drawn
         pairs and points; one array call per drawn pair."""
-        count, cap = (8, 3) if quick else (100, 6)
+        count, cap = 100, 6
         indices, coords = _draws(rng, count, 2, cap + 1, 4)
         err = np.empty(count)
         for j, k in np.unique(indices, axis=0).tolist():
@@ -436,17 +440,16 @@ def _suite_product_theorem(seed: int, quick: bool) -> list[CheckResult]:
     lg = (lambda j, k: lg_field(ModeIndex.lg(j, k)), wigner_lg_closed, lambda *q: sum(q))
     hg = (_hg_stack, wigner_hg_closed, lambda j, k, m, n: max(j + m, k + n))
     return [
-        _timed("lg_product_vs_quadrature2d", 1e-6, lambda: product(8 if quick else 32, *lg)),
-        _timed("hg_product_vs_quadrature2d", 1e-6, lambda: product(4 if quick else 8, *hg)),
+        _timed("lg_product_vs_quadrature2d", 1e-6, lambda: product(32, *lg)),
+        _timed("hg_product_vs_quadrature2d", 1e-6, lambda: product(8, *hg)),
         _timed("lg_diag_consistency", 1e-12, lambda: diagonal(wigner_lg_closed, wigner_lg_diag)),
         _timed("hg_diag_consistency", 1e-12, lambda: diagonal(wigner_hg_closed, wigner_hg_diag)),
     ]
 
 
-def _suite_polarization(seed: int, quick: bool) -> list[CheckResult]:
+def _suite_polarization(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 7])
-    cap = 3 if quick else 4
-    npts = 8 if quick else 20
+    cap, npts = 4, 20
 
     def polarization():
         (n_plus, n_minus), (xs, ys) = (a.T for a in _draws(rng, npts, 2, cap + 1, 2))
@@ -466,13 +469,12 @@ def _suite_polarization(seed: int, quick: bool) -> list[CheckResult]:
     return [_timed("polarization_identity", 1e-8, polarization)]
 
 
-def _suite_unitarity(seed: int, quick: bool) -> list[CheckResult]:
+def _suite_unitarity(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 8])
     checks = []
 
     def inner_products():
-        nfuncs = 4 if quick else 10
-        deg = 3 if quick else 5
+        nfuncs, deg = 10, 5
         axis, w = _trap_axis(-8.0, 8.0, 161)
         w2 = np.outer(w, w)
         # one draw per function, in the order of separate draws
@@ -593,12 +595,12 @@ def _weyl_pairings(pairs, quad: QuadratureSpec | None = None):
     return pairings, (f_deg == g_deg).astype(float)
 
 
-def _weyl_errors(pairs, quad: QuadratureSpec | None = None) -> dict[str, np.ndarray]:
+def _weyl_errors(pairs) -> dict[str, np.ndarray]:
     """Per symbol, the distance between the two pairings of each
     ``(f, g)`` degree pair (see :func:`_weyl_pairings`); for ``"one"`` it
     also covers each side's distance from the Kronecker delta of the
     degrees, since quantizing the constant symbol gives the identity."""
-    pairings, delta = _weyl_pairings(pairs, quad)
+    pairings, delta = _weyl_pairings(pairs)
     errors = {}
     for sigma, (left, right) in pairings.items():
         err = np.abs(left - right)
@@ -608,9 +610,7 @@ def _weyl_errors(pairs, quad: QuadratureSpec | None = None) -> dict[str, np.ndar
     return errors
 
 
-def weyl_pairing_check(
-    sigma: str, f: int, g: int, quad: QuadratureSpec | None = None
-) -> CheckResult:
+def weyl_pairing_check(sigma: str, f: int, g: int) -> CheckResult:
     """Compare the two quantization-pairing pipelines for one symbol.
 
     The left pipeline quantizes ``sigma`` by direct kernel quadrature and
@@ -618,20 +618,19 @@ def weyl_pairing_check(
     ``sigma`` against the Wigner transform of the mode pair. For
     ``sigma="one"`` both sides must also reproduce the Kronecker delta of
     the degrees, since quantizing the constant symbol gives the identity.
-    Without ``quad`` the kernel and the oracle use the spec sized from
-    the two degrees.
+    The kernel and the oracle use the spec sized from the two degrees.
     """
     if sigma not in SIGMA_SYMBOLS:
         raise ValueError(f"unsupported symbol {sigma!r}; expected one of {SIGMA_SYMBOLS}")
 
     def compute():
-        return _weyl_errors([(f, g)], quad)[sigma][0], 1
+        return _weyl_errors([(f, g)])[sigma][0], 1
 
     return _timed(f"weyl_pairing_{_SIGMA_TAGS[sigma]}_f{f}_g{g}", 1e-6, compute)
 
 
-def _suite_weyl(seed: int, quick: bool) -> list[CheckResult]:
-    cap = 3 if quick else 4
+def _suite_weyl(seed: int) -> list[CheckResult]:
+    cap = 4
     pairs = [(f, g) for f in range(cap + 1) for g in range(cap + 1)]
     t0 = time.perf_counter()
     errors = _weyl_errors(pairs)
@@ -648,9 +647,8 @@ def _suite_weyl(seed: int, quick: bool) -> list[CheckResult]:
 _BEAM_CASES = ((0, 0), (1, 2), (2, -1), (0, 3), (2, 0))
 
 
-def _suite_beam(seed: int, quick: bool) -> list[CheckResult]:
+def _suite_beam(seed: int) -> list[CheckResult]:
     params = _beam.BeamParams(w0=1.3, k=9.0)
-    cases = _BEAM_CASES[:3] if quick else _BEAM_CASES
     checks = []
 
     def waist_plane():
@@ -660,7 +658,7 @@ def _suite_beam(seed: int, quick: bool) -> list[CheckResult]:
         phi = np.arctan2(yg, xg)
         scale = SQRT2 / params.w0
         worst = 0.0
-        for p, ell in cases:
+        for p, ell in _BEAM_CASES:
             field_vals = _beam.beam_field(_beam.BeamIndex(p, ell), params, r, phi, 0.0)
             if ell >= 0:
                 mode = ModeIndex.lg(p, p + ell)
@@ -670,7 +668,7 @@ def _suite_beam(seed: int, quick: bool) -> list[CheckResult]:
             mask = np.abs(ref) > 1e-3 * np.abs(ref).max()
             ratio = field_vals[mask] / ref[mask]
             worst = max(worst, float(np.std(ratio)))
-        return worst, len(cases)
+        return worst, len(_BEAM_CASES)
 
     checks.append(_timed("waist_plane_matches_lg", 1e-8, waist_plane))
 
@@ -685,7 +683,7 @@ def _suite_beam(seed: int, quick: bool) -> list[CheckResult]:
     def norm_constant():
         worst = 0.0
         heights = (0.0, params.zR, 3.0 * params.zR)
-        for p, ell in cases:
+        for p, ell in _BEAM_CASES:
             for z in heights:
                 w_z = _beam.beam_geometry(params, z).w
                 axis, w = _trap_axis(-6.0 * w_z, 6.0 * w_z, 301)
@@ -695,7 +693,7 @@ def _suite_beam(seed: int, quick: bool) -> list[CheckResult]:
                 )
                 total = np.sum(np.abs(vals) ** 2 * np.outer(w, w))
                 worst = max(worst, abs(total - 1.0))
-        return worst, len(cases) * len(heights)
+        return worst, len(_BEAM_CASES) * len(heights)
 
     checks.append(_timed("transverse_norm_constant", 1e-8, norm_constant))
     return checks
@@ -751,21 +749,21 @@ SUITE_CHECKS = {
 }
 
 
-def run_suite(name: str, seed: int = 0, budget: str = "quick") -> SuiteReport:
+def run_suite(name: str, seed: int = 0, budget: str = "full") -> SuiteReport:
     """Run one verification suite (or ``"all"``) and return its report.
 
-    Deterministic given ``(name, seed, budget)``: the same call reproduces
-    the same sample points and therefore the same errors.
+    Deterministic given ``(name, seed)``: the same call reproduces the
+    same sample points and therefore the same errors. ``budget`` accepts
+    only the one budget, ``"full"``.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite name {name!r}; expected one of {SUITE_NAMES}")
-    if budget not in ("quick", "full"):
-        raise ValueError(f"unknown budget {budget!r}; expected 'quick' or 'full'")
-    quick = budget == "quick"
+    if budget != "full":
+        raise ValueError(f"unknown budget {budget!r}; the one budget is 'full'")
     targets = tuple(_SUITES) if name == "all" else (name,)
     checks: list[CheckResult] = []
     for target in targets:
-        produced = _SUITES[target](seed, quick)
+        produced = _SUITES[target](seed)
         got = tuple(c.name for c in produced)
         if got != SUITE_CHECKS[target]:
             raise RuntimeError(f"suite {target} produced unexpected checks {got}")

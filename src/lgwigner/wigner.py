@@ -30,10 +30,10 @@ rule converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 385
 (2014)). :meth:`QuadratureSpec.for_degree` sizes the window and the node
 count from that degree and the largest frequency the integral is
 evaluated at. The verification engine passes such a spec to every
-oracle call: 26 to 88 nodes for integrand degrees up to 16 at its full
-budget, with errors of 6e-17 to 3e-14 against closed forms and exact
-integrals. ``DEFAULT_QUAD`` ([-16, 16], 1024 nodes) stays the default
-for fields of unknown degree.
+oracle call: 26 to 88 nodes for integrand degrees up to 16, with
+errors of 6e-17 to 3e-14 against closed forms and exact integrals.
+``DEFAULT_QUAD`` ([-16, 16], 1024 nodes) stays the default for fields
+of unknown degree.
 """
 
 from __future__ import annotations
@@ -428,13 +428,21 @@ def wigner_hermite_closed(j: int, k: int, x, y) -> complex | np.ndarray:
     ya = np.asarray(y, dtype=float)
     z = xa + 1j * ya
     rho = xa * xa + ya * ya
+    gauss = np.exp(-0.5 * rho)
+    # where the Gaussian underflows the value is 0: zero the point there
+    # first, so neither the power of z nor the polynomial can overflow
+    # (in place: z, rho and the value are new arrays of the mask's shape)
+    dead = gauss == 0
+    z[dead] = rho[dead] = 0
     lo, hi = (k, j) if j >= k else (j, k)
     alpha = hi - lo
     scale = (-1.0) ** lo / np.sqrt(np.pi)
     for i in range(lo + 1, hi + 1):
         scale /= np.sqrt(i)
     power = z**alpha if j >= k else np.conj(z) ** alpha
-    return scale * power * np.exp(-0.5 * rho) * laguerre(lo, alpha, rho)
+    value = scale * power * gauss * laguerre(lo, alpha, rho)
+    value[dead] = 0
+    return value
 
 
 @_scalars_as_arrays(complex, "point")
@@ -457,8 +465,17 @@ def _diag_closed(j: int, k: int, q0, q) -> float | np.ndarray:
     """``pi**-1 (-1)**(j+k) exp(-q0) L0_j(q0 + q) L0_k(q0 - q)``, real."""
     _check_degree(j, "j")
     _check_degree(k, "k")
-    value = (-1.0) ** (j + k) / np.pi * np.exp(-q0)
-    return value * laguerre(j, 0, q0 + q) * laguerre(k, 0, q0 - q)
+    gauss = np.exp(-q0)
+    # where the Gaussian underflows the value is 0: zero the polynomials'
+    # arguments there first, so they cannot overflow (in place: the
+    # quadratics of one point share its broadcast shape)
+    dead = gauss == 0
+    plus, minus = q0 + q, q0 - q
+    plus[dead] = minus[dead] = 0
+    value = (-1.0) ** (j + k) / np.pi * gauss
+    value = value * laguerre(j, 0, plus) * laguerre(k, 0, minus)
+    value[dead] = 0
+    return value
 
 
 @_scalars_as_arrays(float, "point")

@@ -182,12 +182,56 @@ def test_beam_vortex_dark_axis(tmp_path):
     assert axis and axis[0][2] == 0.0 and axis[0][3] == 0.0
 
 
+_FAR = ["--xmin=-1e4", "--xmax", "1e4", "--ymin=-1e4", "--ymax", "1e4", "--nx", "8", "--ny", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modes", "lg", "--index", "64", "64", *_FAR],
+        ["beam", "--index", "64", "0", "--w0", "1e-3", "--k", "10", "--nx", "8", "--ny", "8"],
+        ["wigner", "hermite", "--indices", "64", "60", *_FAR],
+        ["wigner", "lg_diag", "--indices", "64", "60", *_FAR],
+        ["wigner", "lg_diag", "--indices", "3", "1", "--xi1", "1e150", "--nx", "4", "--ny", "4"],
+        # r**2 / w**2 overflows to inf: the Laguerre argument would be inf
+        [
+            "beam", "--index", "2", "1", "--w0", "1e-100", "--k", "1e300",
+            "--xmin=-1e150", "--xmax", "1e150", "--nx", "4", "--ny", "4",
+        ],
+    ],
+)
+def test_values_past_the_gaussian_underflow_are_written_as_numbers(tmp_path, argv):
+    # the Gaussian factor is 0 at most of these samples, where the
+    # polynomial or the power of r alone would overflow
+    out = tmp_path / "far.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert not np.isnan(rows).any()
+
+
 def test_verify_subcommand_writes_report(tmp_path):
     out = tmp_path / "report.json"
     code = cli.main(["verify", "beam", "--seed", "3", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["suite"] == "beam" and report["passed"] is True
+
+
+def test_verify_runs_the_one_budget(tmp_path):
+    def checks(path):
+        report = json.loads(path.read_text())
+        for check in report["checks"]:
+            check.pop("elapsed_ms")
+        return report
+
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    assert cli.main(["verify", "moyal", "--out", str(plain)]) == 0
+    assert cli.main(["verify", "moyal", "--budget", "full", "--out", str(flagged)]) == 0
+    assert checks(plain) == checks(flagged)
+    assert checks(plain)["budget"] == "full"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "moyal", "--budget", "quick"])
+    assert exc.value.code == 2
 
 
 def test_verify_unknown_suite_exits_2(capsys):
@@ -198,7 +242,7 @@ def test_verify_unknown_suite_exits_2(capsys):
 def test_verify_failure_exits_1(monkeypatch, tmp_path):
     from lgwigner.verify import CheckResult, SuiteReport
 
-    def fake(name, seed=0, budget="quick"):
+    def fake(name, seed=0, budget="full"):
         bad = CheckResult("x", 1.0, 1e-6, False, 1, 0.0)
         return SuiteReport(suite=name, checks=[bad], passed=False, seed=seed)
 
@@ -227,7 +271,7 @@ def test_io_error_exits_3(tmp_path):
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    def broken(name, seed=0, budget="quick"):
+    def broken(name, seed=0, budget="full"):
         raise RuntimeError("suite beam produced unexpected checks")
 
     monkeypatch.setattr(cli, "run_suite", broken)

@@ -106,3 +106,28 @@ def test_field_callable_receives_arrays_for_a_scalar_point():
 
     assert type(apply_operator_pointwise(LadderOp.A1DAG, field, 0.2, 0.9)) is complex
     assert seen and all(types == (np.ndarray, np.ndarray) for types in seen)
+
+
+#: Points where every Gaussian factor exp(-|z|**2 / 2) (exp(-q0) for the
+#: diagonal forms) underflows to 0, at and past which the Laguerre
+#: polynomial or the power of z of a degree-64 mode overflows.
+_FAR = np.array([40.0, -1e4, 1e150])
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda t: lg_mode(ModeIndex.lg(64, 60), t, -t),
+        lambda t: wigner_hermite_closed(60, 64, t, t),
+        lambda t: lg_field(ModeIndex.lg(64, 60)).partial_x(t, t),
+        lambda t: lg_field(ModeIndex.lg(60, 64)).partial_y(t, -t),
+        lambda t: wigner_lg_diag(64, 60, PhasePoint4(t, 0.5, -t, 1.0)),
+        lambda t: wigner_hg_diag(3, 1, PhasePoint4(0.0, 0.0, t, 0.0)),
+        lambda t: beam_field(BeamIndex(64, -64), BeamParams(1e-3, 10.0), np.abs(t), t, 0.0),
+        lambda t: beam_field(BeamIndex(2, 1), BeamParams(1e-100, 1e300), np.abs(t), 0.0, 0.0),
+    ],
+)
+def test_values_past_the_gaussian_underflow_are_positive_zero(evaluate):
+    values = np.asarray(evaluate(_FAR), dtype=complex)
+    assert np.array_equal(values, np.zeros(_FAR.shape))
+    assert not np.signbit(values.real).any() and not np.signbit(values.imag).any()

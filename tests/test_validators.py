@@ -1,6 +1,8 @@
 """Property tests for the input validators: each accepts exactly its
 documented domain and raises the documented exception type outside it."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from lgwigner import cli  # noqa: E402
 from lgwigner.beam import BeamIndex, BeamParams  # noqa: E402
 from lgwigner.modes import Basis, ModeIndex  # noqa: E402
 from lgwigner.specfun import MAX_DEGREE  # noqa: E402
@@ -141,3 +144,42 @@ def test_grid_rejects_nan_bounds(slot):
     bounds[slot] = math.nan
     with pytest.raises(ValueError):
         Grid2D((bounds[0], bounds[1], 2), (bounds[2], bounds[3], 2), np.zeros(4))
+
+
+# the CLI's documented coordinate limit and its neighbours
+_LIMIT = 1e150
+coordinates = st.one_of(
+    st.floats(-1e200, 1e200),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.sampled_from([_LIMIT, -_LIMIT, math.nextafter(_LIMIT, math.inf), math.nextafter(-_LIMIT, -math.inf)]),
+)
+# one axis at 4096 or 4097 keeps the other at 2, so accepted grids stay small
+grid_counts = st.one_of(
+    st.tuples(st.integers(-2, 8), st.integers(-2, 8)),
+    st.sampled_from([(4096, 2), (2, 4096), (4097, 2), (2, 4097)]),
+)
+
+
+@pinned
+@given(coordinates, coordinates, coordinates, coordinates, grid_counts)
+@example(-_LIMIT, _LIMIT, -_LIMIT, _LIMIT, (2, 4096))
+@example(-1e4, 1e4, -1e4, 1e4, (8, 8))
+def test_cli_grid_flags_accept_exactly_the_documented_domain(
+    tmp_path_factory, xmin, xmax, ymin, ymax, counts
+):
+    nx, ny = counts
+    out = tmp_path_factory.getbasetemp() / "grid_flags.csv"
+    out.unlink(missing_ok=True)
+    bounds = {"xmin": xmin, "xmax": xmax, "ymin": ymin, "ymax": ymax}
+    argv = ["modes", "lg", "--index", "64", "64", f"--nx={nx}", f"--ny={ny}", "--out", str(out)]
+    argv += [f"--{name}={value!r}" for name, value in bounds.items()]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    axes_ok = all(math.isfinite(v) and abs(v) <= _LIMIT for v in bounds.values())
+    in_domain = axes_ok and xmin < xmax and ymin < ymax and 2 <= nx <= 4096 and 2 <= ny <= 4096
+    assert code == (0 if in_domain else 2)
+    if in_domain:
+        text = out.read_text()
+        assert text.count("\n") == nx * ny + 1 and "nan" not in text
+    else:
+        assert not out.exists()

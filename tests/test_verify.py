@@ -70,12 +70,13 @@ def test_registry_matches_manifest():
 def test_unknown_suite_and_budget():
     with pytest.raises(ValueError):
         run_suite("bogus", seed=1)
-    with pytest.raises(ValueError):
-        run_suite("beam", seed=1, budget="medium")
+    for budget in ("medium", "quick"):
+        with pytest.raises(ValueError, match="the one budget is 'full'"):
+            run_suite("beam", seed=1, budget=budget)
 
 
 def test_report_shape_and_consistency():
-    report = run_suite("beam", seed=5, budget="quick")
+    report = run_suite("beam", seed=5)
     assert report.suite == "beam"
     assert report.seed == 5
     assert tuple(c.name for c in report.checks) == MANIFEST["beam"]
@@ -87,41 +88,45 @@ def test_report_shape_and_consistency():
     assert report.passed
 
 
-def test_determinism_modulo_elapsed():
-    def strip(report):
-        d = report.as_dict()
-        for c in d["checks"]:
-            c.pop("elapsed_ms")
-        return d
+def _without_timings(report):
+    d = report.as_dict()
+    for c in d["checks"]:
+        c.pop("elapsed_ms")
+    return d
 
-    a = run_suite("polarization", seed=3, budget="quick")
-    b = run_suite("polarization", seed=3, budget="quick")
-    assert strip(a) == strip(b)
-    c = run_suite("polarization", seed=4, budget="quick")
-    assert strip(a) != strip(c)
+
+def test_determinism_modulo_elapsed():
+    a = run_suite("polarization", seed=3)
+    b = run_suite("polarization", seed=3)
+    assert _without_timings(a) == _without_timings(b)
+    c = run_suite("polarization", seed=4)
+    assert _without_timings(a) != _without_timings(c)
 
 
 def test_report_margin_is_error_over_tolerance():
-    report = run_suite("polarization", seed=3, budget="quick")
+    report = run_suite("polarization", seed=3)
     for check in report.as_dict()["checks"]:
         assert check["margin"] == check["max_abs_err"] / check["tolerance"]
         assert (check["margin"] <= 1.0) == check["passed"]
 
 
 def test_report_records_budget():
-    assert run_suite("beam", seed=1, budget="quick").as_dict()["budget"] == "quick"
-    assert run_suite("beam", seed=1, budget="full").budget == "full"
+    default, full = run_suite("beam", seed=1), run_suite("beam", seed=1, budget="full")
+    assert default.as_dict()["budget"] == full.budget == "full"
+    assert _without_timings(default) == _without_timings(full)
+    with pytest.raises(ValueError):
+        run_suite("beam", seed=1, budget="quick")
 
 
 def test_all_concatenates_every_suite():
-    report = run_suite("all", seed=2, budget="quick")
+    report = run_suite("all", seed=2)
     expected = [name for suite in MANIFEST for name in MANIFEST[suite]]
     assert [c.name for c in report.checks] == expected
     assert report.suite == "all"
 
 
 def test_json_round_trip():
-    report = run_suite("orthogonality", seed=1, budget="quick")
+    report = run_suite("orthogonality", seed=1)
     parsed = json.loads(report.to_json())
     assert parsed["suite"] == "orthogonality"
     assert parsed["passed"] is True
@@ -150,23 +155,6 @@ def test_weyl_pairing_check_rejects_non_integer_degree(f, g):
 def test_weyl_pairing_check_rejects_unknown_symbol():
     with pytest.raises(ValueError):
         weyl_pairing_check("x3", 0, 0)
-
-
-def test_quick_suites_pass():
-    for name in ("properties", "orthogonality", "closedforms", "weyl"):
-        assert run_suite(name, seed=1, budget="quick").passed, name
-
-
-def test_quick_budget_runtime():
-    # everything except the 2D-oracle suite must finish well inside 60 s
-    import time
-
-    t0 = time.perf_counter()
-    for name in SUITE_NAMES:
-        if name in ("all", "product_theorem"):
-            continue
-        run_suite(name, seed=9, budget="quick")
-    assert time.perf_counter() - t0 < 60.0
 
 
 # --- quadrature sized from mode degrees ---
