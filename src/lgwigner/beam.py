@@ -9,6 +9,7 @@ needs no special casing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +26,8 @@ class BeamParams:
 
     Both must be positive and finite, ``w0`` at most 1e150 (so its square
     is finite), and the Rayleigh range ``zR = k w0**2 / 2`` must neither
-    underflow to 0 nor overflow.
+    underflow to 0 nor overflow. A height ``z`` is bounded by
+    :func:`beam_geometry`.
     """
 
     w0: float
@@ -74,11 +76,15 @@ def beam_geometry(params: BeamParams, z: float) -> BeamGeometry:
     ``w(z) = w0 sqrt(1 + (z/zR)**2)``, ``1/R(z) = z / (zR**2 + z**2)``
     (regular at z = 0, where the curvature radius itself diverges), and
     ``gouy = atan(z/zR)``. ``|z|`` may be at most 1e150 Rayleigh ranges,
-    so that ``(z/zR)**2`` is finite.
+    so that ``(z/zR)**2`` is finite, and ``k |z|`` must be finite, so
+    that the carrier phase of :func:`beam_field` is.
     """
     zr = params.zR
     if not abs(z) <= 1e150 * zr:
         raise ValueError("z must be finite and at most 1e150 Rayleigh ranges from the waist")
+    # as Python floats, whose product overflows to inf without a warning
+    if not math.isfinite(float(params.k) * float(z)):
+        raise ValueError("k |z| must be finite")
     w = params.w0 * np.sqrt(1.0 + (z / zr) ** 2)
     inv_r = z / (zr * zr + z * z)
     return BeamGeometry(float(w), float(inv_r), float(np.arctan(z / zr)))

@@ -12,8 +12,9 @@ the input was refused and a library exception always means exit 4.
 Coordinates (grid bounds, ``--xi1``/``--xi2``, ``--z``, points-file
 values) must be finite and at most 1e150 in magnitude, so that their
 squares stay finite. Beam parameters must give a positive, finite
-Rayleigh range, with ``|z|`` at most 1e150 of them (see
-:class:`lgwigner.beam.BeamParams` and :func:`lgwigner.beam.beam_geometry`).
+Rayleigh range, with ``|z|`` at most 1e150 of them and ``k |z|``
+finite (see :class:`lgwigner.beam.BeamParams` and
+:func:`lgwigner.beam.beam_geometry`).
 All configuration is via flags; the tool reads no environment variables
 or config files, so identical invocations produce identical outputs.
 ``--timings`` adds an evaluate and format+write breakdown on stderr and

@@ -194,7 +194,9 @@ class Grid2D:
     """Rectangular complex samples with axis metadata.
 
     ``values[i, j]`` is the sample at ``(x_nodes()[i], y_nodes()[j])``;
-    the row-major flattening therefore runs the y axis fastest.
+    the row-major flattening therefore runs the y axis fastest. Each axis
+    is ``(lo, hi, count)`` with finite ``lo < hi`` and an integer count of
+    at least 2; a float, bool or string count raises TypeError.
     """
 
     x_axis: tuple[float, float, int]
@@ -202,6 +204,9 @@ class Grid2D:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        for name, axis in (("x_axis", self.x_axis), ("y_axis", self.y_axis)):
+            if not isinstance(axis[2], (int, np.integer)) or isinstance(axis[2], bool):
+                raise TypeError(f"{name} count must be an integer")
         self.x_axis = (float(self.x_axis[0]), float(self.x_axis[1]), int(self.x_axis[2]))
         self.y_axis = (float(self.y_axis[0]), float(self.y_axis[1]), int(self.y_axis[2]))
         for name, (lo, hi, count) in (("x_axis", self.x_axis), ("y_axis", self.y_axis)):
@@ -354,13 +359,41 @@ def wigner2d(f, g, point: PhasePoint4, quad: QuadratureSpec | None = None) -> co
 # rotate + partial-FFT realization
 
 
-def _fft_shift(values: np.ndarray, axis: int, spacing: float, shift) -> np.ndarray:
+def _shift_ramp(count: int, spacing: float, shift: np.ndarray, axis: int) -> np.ndarray:
+    """``exp(i k shift)`` for the FFT frequencies k = m dk of ``count``
+    samples at ``spacing`` (``dk = 2 pi / (count spacing)``), with m
+    ascending from ``-(count // 2)`` along ``axis``; ``shift`` varies along
+    the other axis (shape ``(c,)`` for axis 0, ``(c, 1)`` for axis 1).
+
+    m = hi + lo, with hi a multiple of ``width`` ~ sqrt(count) and
+    0 <= lo < width, so the ramp is the outer product of two tables of
+    about sqrt(count) exponentials each. It may run up to ``width - 1``
+    entries past ``count`` along ``axis``; those are not used.
+    """
+    dk = _TWO_PI / (count * spacing)
+    width = math.isqrt(count - 1) + 1
+
+    def table(m):  # exp(i m dk shift), m along axis
+        return np.exp(1j * np.expand_dims(dk * m, 1 - axis) * shift)
+
+    hi = table(width * np.arange(-(-count // width)) - count // 2)
+    lo = table(np.arange(width))
+    ramp = np.expand_dims(hi, axis + 1) * np.expand_dims(lo, axis)
+    return ramp.reshape(hi.shape[:axis] + (-1,) + hi.shape[axis + 1 :])
+
+
+def _shear(values: np.ndarray, axis: int, ramp: np.ndarray) -> np.ndarray:
     """Samples of g(t + shift) from the samples of g(t) along ``axis`` of
-    ``values``, by the Fourier shift theorem; ``shift`` broadcasts against
-    ``values``, so it may vary along the other axis (a shear)."""
-    k = _TWO_PI * np.fft.fftfreq(values.shape[axis], spacing)
-    k = k[:, None] if axis == 0 else k[None, :]
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * np.exp(1j * k * shift), axis=axis)
+    ``values``, by the Fourier shift theorem, with the ``_shift_ramp`` of
+    that axis; the spectrum, in ``fftfreq`` order (m = 0, 1, ..., then the
+    negative m), is multiplied by the ramp in place, one half at a time."""
+    spectrum = np.fft.fft(values, axis=axis)
+    count = values.shape[axis]
+    nonneg, neg = (count + 1) // 2, count // 2
+    spec, ramp = np.moveaxis(spectrum, axis, 0), np.moveaxis(ramp, axis, 0)
+    spec[:nonneg] *= ramp[neg:count]
+    spec[nonneg:] *= ramp[:neg]
+    return np.fft.ifft(spectrum, axis=axis)
 
 
 def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
@@ -381,6 +414,17 @@ def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
     negligible anyway. The partial transform is a scaled FFT whose
     frequency axis honors the continuous ``(2 pi)**(-1/2)`` normalization.
 
+    The phase ramps cost little next to the FFTs. The two x shears share
+    one ramp (same padded length, spacing and shifts). Each ramp
+    ``exp(i k shift)`` is the product of two tables of about sqrt(N)
+    exponentials per shift, N the padded count, rather than N of them;
+    the spectra, and the output by its scale-and-phase vector, are
+    multiplied in place. The ramps agree with the direct
+    ``exp(i k shift)`` to within 2 ulps of the largest ``|k shift|``
+    (2.3e-13 at 512 x 512 over [-8, 8], where it reaches 850): that is
+    the rounding of the direct form's own angle, and the output moves
+    from the direct form's by about 2e-16.
+
     The input grid must be symmetric about the origin in both axes; the
     spacings and counts of the two axes may differ. The output keeps the
     input x axis; its y axis is the conjugate frequency axis derived from
@@ -399,14 +443,19 @@ def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
     tan, sin = np.tan(np.pi / 8), np.sin(np.pi / 4)
     # a shear along x keeps zero columns zero and acts on each column
     # alone, so the first runs on the input's columns and the last on the
-    # output's
-    sheared = _fft_shift(np.pad(grid.values, ((px, px), (0, 0))), 0, dx, -tan * p)
-    sheared = _fft_shift(np.pad(sheared, ((0, 0), (py, py))), 1, dp, sin * x_padded[:, None])
-    rotated = _fft_shift(sheared[:, py : py + n], 0, dx, -tan * p)[px : px + nx]
+    # output's: both have the same padded length, spacing and shifts, so
+    # they share one ramp
+    x_ramp = _shift_ramp(nx + 2 * px, dx, -tan * p, 0)
+    sheared = _shear(np.pad(grid.values, ((px, px), (0, 0))), 0, x_ramp)
+    y_ramp = _shift_ramp(n + 2 * py, dp, sin * x_padded[:, None], 1)
+    # rebound before the shear, so the unpadded array is freed first
+    sheared = np.pad(sheared, ((0, 0), (py, py)))
+    sheared = _shear(sheared, 1, y_ramp)
+    rotated = _shear(sheared[:, py : py + n], 0, x_ramp)[px : px + nx]
 
     freqs = _TWO_PI * (np.arange(n) - n // 2) / (n * dp)
-    spectrum = np.fft.fftshift(np.fft.fft(rotated, axis=1), axes=1)
-    out = (dp / np.sqrt(_TWO_PI)) * np.exp(-1j * p[0] * freqs)[None, :] * spectrum
+    out = np.fft.fftshift(np.fft.fft(rotated, axis=1), axes=1)
+    out *= (dp / np.sqrt(_TWO_PI)) * np.exp(-1j * p[0] * freqs)
     return Grid2D(grid.x_axis, (float(freqs[0]), float(freqs[-1]), n), out)
 
 

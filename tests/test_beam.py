@@ -132,6 +132,18 @@ def test_vanishing_like_r_to_ell_at_axis():
     assert vals[2] / vals[1] == pytest.approx(4.0, rel=1e-4)
 
 
+@pytest.mark.parametrize("z", [1e10, -1e10, np.float64(1e10)])
+def test_geometry_requires_finite_k_z(z):
+    # zR = 5e99, so |z| is well inside 1e150 Rayleigh ranges, but
+    # k |z| = 1e310 overflows
+    params = BeamParams(1e-100, 1e300)
+    with pytest.raises(ValueError, match=r"k \|z\| must be finite"):
+        beam_geometry(params, z)
+    with pytest.raises(ValueError, match=r"k \|z\| must be finite"):
+        beam_field(BeamIndex(0, 0), params, 0.0, 0.0, z)
+    assert beam_geometry(params, 1e7).inv_R > 0  # k |z| = 1e307 is finite
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         BeamParams(w0=-1.0, k=1.0)

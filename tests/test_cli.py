@@ -312,6 +312,11 @@ def test_internal_value_error_exits_4(monkeypatch, tmp_path, capsys):
         (["beam", "--index", "0", "0", "--w0", "1e200", "--k", "1"], "w0 must be at most 1e150"),
         (["wigner", "lg_diag", "--indices", "0", "0", "--xi1", "1e200"], "xi1 must lie in"),
         (["beam", "--index", "0", "0", "--w0", "1e-100", "--k", "1", "--z", "1"], "1e150 Rayleigh ranges"),
+        # inside the Rayleigh-range bound, but k z overflows the carrier phase
+        (
+            ["beam", "--index", "0", "0", "--w0", "1e-100", "--k", "1e300", "--z", "1e10", "--nx", "3", "--ny", "3"],
+            "k |z| must be finite",
+        ),
     ],
 )
 def test_invalid_user_input_exits_2(tmp_path, capsys, argv, message):

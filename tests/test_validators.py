@@ -138,6 +138,23 @@ def test_grid_accepts_exactly_increasing_axes_of_two_or_more_matching_values(
             Grid2D(*args)
 
 
+@pytest.mark.parametrize("count", [2.7, 3.9, 3.0, "3", True, None])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_grid_rejects_non_integer_counts(count, axis):
+    # as QuadratureSpec.nodes and ModeIndex do; int() would make 2.7 two
+    # samples and accept "3"
+    good = (-1.0, 1.0, 3)
+    bad = (-1.0, 1.0, count)
+    with pytest.raises(TypeError):
+        Grid2D(*((bad, good) if axis == "x" else (good, bad)), np.zeros(9))
+
+
+def test_grid_accepts_numpy_integer_counts():
+    grid = Grid2D((-1.0, 1.0, np.int64(3)), (-1.0, 1.0, np.int32(2)), np.zeros(6))
+    assert grid.x_axis == (-1.0, 1.0, 3) and grid.y_axis == (-1.0, 1.0, 2)
+    assert type(grid.x_axis[2]) is int and grid.values.shape == (3, 2)
+
+
 @pytest.mark.parametrize("slot", range(4))
 def test_grid_rejects_nan_bounds(slot):
     bounds = [-1.0, 1.0, -1.0, 1.0]

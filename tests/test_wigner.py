@@ -17,6 +17,7 @@ from lgwigner.wigner import (
     Grid2D,
     PhasePoint4,
     QuadratureSpec,
+    _shift_ramp,
     extended_wigner,
     extended_wigner_grid,
     extended_wigner_rotfft,
@@ -282,14 +283,56 @@ def test_rotfft_maps_hg_to_lg():
 
 
 def test_rotfft_cross_checks_quadrature_path():
-    # non-basis input on a finer grid so interpolation error stays under 1e-8
+    # an unnormalized field that is no single mode (measured 3.9e-16)
     f = lambda u, v: np.exp(-0.5 * (u * u + v * v)) * u
     grid = Grid2D.sample(f, (-8.0, 8.0, 512), (-8.0, 8.0, 512))
     out = extended_wigner_rotfft(grid)
     xi = int(np.argmin(np.abs(out.x_nodes() - 1.0)))
     yi = int(np.argmin(np.abs(out.y_nodes() - 0.0)))
     x0, y0 = out.x_nodes()[xi], out.y_nodes()[yi]
-    assert out.values[xi, yi] == pytest.approx(extended_wigner(f, x0, y0), abs=1e-8)
+    assert out.values[xi, yi] == pytest.approx(extended_wigner(f, x0, y0), abs=1e-10)
+
+
+def test_rotfft_matches_quadrature_on_random_complex_superposition():
+    # complex coefficients and no symmetry between u and v or between
+    # +y and -y, so a sign or row-order slip in the negative frequencies
+    # shows where the real, symmetric HG inputs cannot
+    rng = np.random.default_rng(11)
+    degree = 4
+    coef = rng.standard_normal((degree + 1, degree + 1)) + 1j * rng.standard_normal((degree + 1, degree + 1))
+    coef[np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) > degree] = 0
+
+    def field(u, v):
+        hu, hv = specfun.hermite_function_table(degree, u), specfun.hermite_function_table(degree, v)
+        return sum(coef[j, k] * hu[j] * hv[k] for j in range(degree + 1) for k in range(degree + 1 - j))
+
+    out = extended_wigner_rotfft(Grid2D.sample(field, (-8.0, 8.0, 256), (-8.0, 8.0, 256)))
+    # 16 x 16 nodes spread over [-4, 4] on each output axis
+    rows, cols = (np.flatnonzero(np.abs(nodes) <= 4.0) for nodes in (out.x_nodes(), out.y_nodes()))
+    rows, cols = (idx[np.linspace(0, idx.size - 1, 16).astype(int)] for idx in (rows, cols))
+    xs, ys = out.x_nodes()[rows], out.y_nodes()[cols]
+    assert ys.min() < -3.0 and ys.max() > 3.0
+    ref = extended_wigner_grid(field, xs, ys, QuadratureSpec.for_degree(degree, np.abs(ys).max()))
+    assert np.abs(out.values[np.ix_(rows, cols)] - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("count", [2, 3, 383, 384, 768])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_shift_ramp_matches_direct_exponential(count, axis):
+    # shifts of the sizes the shears use: up to sin(pi/4) times a padded
+    # half-width of 12
+    spacing = 16.0 / 255
+    shift = np.linspace(-8.5, 8.5, 37)
+    k = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(count, spacing))
+    if axis == 0:
+        ramp = _shift_ramp(count, spacing, shift, 0)[:count]
+        direct = np.exp(1j * k[:, None] * shift)
+    else:
+        ramp = _shift_ramp(count, spacing, shift[:, None], 1)[:, :count]
+        direct = np.exp(1j * k[None, :] * shift[:, None])
+    assert ramp.shape == direct.shape
+    largest_angle = np.abs(k).max() * np.abs(shift).max()
+    assert np.abs(ramp - direct).max() <= 4 * np.finfo(float).eps * largest_angle
 
 
 @pytest.mark.parametrize(
