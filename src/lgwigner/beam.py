@@ -137,9 +137,10 @@ def beam_field(
         gauss = np.exp(-(ra * ra) / (w * w))
     # where the Gaussian underflows the value is 0: zero r there first, so
     # neither the power of r nor the polynomial can overflow (r is the
-    # caller's array, so in a copy)
+    # caller's array, so in a copy, made only when some point needs it)
     dead = gauss == 0
-    ra = np.where(dead, 0.0, ra)
+    if dead.any():
+        ra = np.where(dead, 0.0, ra)
     total_phase = (
         index.ell * pa
         - params.k * z

@@ -1,7 +1,11 @@
 """Special-function checks against independent oracles: coefficient-wise
 symbolic differentiation for the Hermite polynomials, direct evaluation of
-the normalization formula for the Hermite functions, and central finite
-differences for every derivative identity."""
+the normalization formula for the Hermite functions, high-precision
+mpmath references, and central finite differences for every derivative
+identity. Also pinned: the blocked recurrences give every point the bits
+of a one-element call and make no full-size temporary."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +181,110 @@ def test_laguerre_derivative_identity():
             )
             want = -specfun.laguerre(n - 1, alpha + 1, xs)
             assert np.max(np.abs(fd - want)) <= 1e-7
+
+
+@pytest.mark.parametrize("n, alpha", [(16, 24), (32, 32), (40, 24), (64, 0), (0, 64), (63, 1), (1, 63)])
+def test_laguerre_matches_mpmath_at_high_degree(n, alpha):
+    """The normalized form exp(-x/2) x**(alpha/2) sqrt(n!/(n+alpha)!) L,
+    which is how lg_mode uses the polynomial, against 50-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng([n, alpha])
+    xs = np.concatenate([[0.0], rng.uniform(0.0, 4 * n + 2 * alpha + 40, 30)])
+    got = specfun.laguerre(n, alpha, xs)
+    with mpmath.workdps(50):
+        for x, value in zip(xs, got):
+            x = mpmath.mpf(float(x))
+            norm = mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(n + alpha))
+            scale = mpmath.exp(-x / 2) * x ** (mpmath.mpf(alpha) / 2) * norm
+            err = scale * (mpmath.mpf(float(value)) - mpmath.laguerre(n, alpha, x))
+            assert abs(err) <= 5e-14
+
+
+# --- the blocked recurrences ---
+
+_BLOCK = specfun._BLOCK
+#: signed zeros, and points past the underflow of the Gaussian start
+_SPECIAL = [0.0, -0.0, 38.0, -38.0, 39.0, -39.0]
+
+
+def _block_inputs() -> dict:
+    rng = np.random.default_rng(10)
+    inputs = {}
+    for size in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+        x = rng.uniform(-12.0, 12.0, size)
+        edge = x[_BLOCK - 3 : _BLOCK + 3]  # across the first block boundary
+        edge[:] = _SPECIAL[: edge.size]
+        x[-6:] = _SPECIAL
+        inputs[f"{size} points"] = x
+    grid = rng.uniform(-12.0, 12.0, (7, 5))
+    grid[2, :] = _SPECIAL[:5]
+    inputs["C-ordered 2-D"] = grid
+    inputs["F-ordered 2-D"] = np.asfortranarray(grid)
+    strided = rng.uniform(-12.0, 12.0, 60)[::3]
+    strided[4:10] = _SPECIAL
+    inputs["strided view"] = strided
+    inputs["0-d"] = np.array(-0.0)
+    inputs["empty"] = np.empty(0)
+    inputs["(3, 0)"] = np.empty((3, 0))
+    return inputs
+
+
+def _probes(size: int) -> list:
+    """Every point of a small input; of a large one the points around each
+    block boundary, the special values at its end and a random sample."""
+    if size <= 64:
+        return list(range(size))
+    near = {i for b in range(0, size + 1, _BLOCK) for i in range(b - 3, b + 3)}
+    sample = np.random.default_rng(size).choice(size, 20, replace=False)
+    return sorted(i for i in near | set(sample.tolist()) | set(range(size - 6, size)) if 0 <= i < size)
+
+
+_ROUTINES = {
+    "laguerre": lambda n, x: specfun.laguerre(n, 24, x),
+    "hermite_function": specfun.hermite_function,
+    "hermite_function_derivative": specfun.hermite_function_derivative,
+    "hermite_function_table": specfun.hermite_function_table,
+}
+
+
+@pytest.mark.parametrize("name", list(_ROUTINES))
+@pytest.mark.parametrize("n", [0, 1, 2, 64])
+def test_blocked_recurrences_give_each_point_its_one_element_bits(name, n):
+    routine = _ROUTINES[name]
+    rows = (n + 1,) if name == "hermite_function_table" else ()
+    for label, x in _block_inputs().items():
+        got = routine(n, x)
+        assert np.shape(got) == rows + x.shape, label
+        got_flat = np.reshape(got, rows + (x.size,))
+        x_flat = x.reshape(-1)
+        for i in _probes(x.size):
+            alone = routine(n, x_flat[i : i + 1])
+            assert _bits(got_flat[..., i]) == _bits(alone), (label, i)
+
+
+def _peak_bytes(evaluate) -> tuple[int, np.ndarray]:
+    """Peak of the memory allocated during ``evaluate()``, and its result."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, out
+
+
+def test_recurrences_make_no_full_size_temporaries():
+    # numpy reports its allocations to tracemalloc; a full-size
+    # temporary per step would add the output's size again and again
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, 100.0, 262_144)
+    peak, out = _peak_bytes(lambda: specfun.laguerre(16, 24, x))
+    assert peak < out.nbytes + 2**20
+    x = rng.uniform(-14.0, 14.0, 200_000)
+    peak, out = _peak_bytes(lambda: specfun.hermite_function_table(64, x))
+    assert peak < out.nbytes + 2**20
 
 
 def test_degree_and_argument_validation():
