@@ -14,7 +14,7 @@ while every degree is stepped through. Each point's value is the same
 sequence of elementwise operations on that point alone, so it does not
 depend on the block size or on where the point falls in a block: the
 bits equal those of a one-element call. The row buffers are local to
-each call, so the routines remain pure and safe to call concurrently.
+each call, so the blocked routines stay pure as well.
 """
 
 from __future__ import annotations
