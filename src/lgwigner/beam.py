@@ -105,7 +105,6 @@ def beam_field(
     r,
     phi,
     z: float,
-    normalized: bool = True,
 ) -> complex | np.ndarray:
     """Time-harmonic LG beam amplitude in cylindrical coordinates.
 
@@ -116,10 +115,8 @@ def beam_field(
 
     with total phase
     ``Phi = ell phi - k z + k r**2 / (2 R(z)) - (2p + ell + 1) gouy(z)``.
-    With ``normalized=True`` the constant is
-    ``C = sqrt(2 p! / (pi (p+|ell|)!)) / w(z)``, which makes the
-    transverse L2 norm equal 1 at every z; ``normalized=False`` drops C
-    and returns the bare profile.
+    The constant ``C = sqrt(2 p! / (pi (p+|ell|)!)) / w(z)`` makes the
+    transverse L2 norm equal 1 at every z.
 
     ``r`` must be non-negative; ``r`` and ``phi`` may be arrays.
     """
@@ -152,9 +149,8 @@ def beam_field(
         * (ra * np.sqrt(2.0) / w) ** ell_abs
         * laguerre(index.p, ell_abs, 2.0 * ra * ra / (w * w))
     )
-    value = np.exp(-1j * total_phase) * radial
-    if normalized:
-        value = value * (np.sqrt(2.0 * _factorial_ratio(index.p, ell_abs) / np.pi) / w)
+    norm = np.sqrt(2.0 * _factorial_ratio(index.p, ell_abs) / np.pi) / w
+    value = np.exp(-1j * total_phase) * radial * norm
     # phi may broadcast the value past the mask's shape
     value[np.broadcast_to(dead, value.shape)] = 0
     return value

@@ -127,16 +127,20 @@ def _write_pgm(path: str, values) -> None:
 
 
 def _read_points_file(path: str) -> list[tuple[float, float, float, float]]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"points file {path!r} is not UTF-8 text: {exc.reason}") from None
     points = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or (lineno == 1 and line == _POINTS_HEADER):
-                continue
-            point = _parse_point(line)
-            if point is None:
-                raise UsageError(f"points file line {lineno}: expected {_POINTS_HEADER!r}, got {line!r}")
-            points.append(point)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or (lineno == 1 and line == _POINTS_HEADER):
+            continue
+        point = _parse_point(line)
+        if point is None:
+            raise UsageError(f"points file line {lineno}: expected {_POINTS_HEADER!r}, got {line!r}")
+        points.append(point)
     if not points:
         raise UsageError("points file contains no points")
     return points

@@ -7,10 +7,19 @@ each suite runs at one size, its documented limits. Tolerances are
 fixed per check from the quadrature error budget: 1e-10 to 1e-12 where
 only closed forms and spectrally accurate quadrature meet, loosened to
 1e-6 where finite differences, the sampled rotate-plus-FFT grid, or the
-two-dimensional oracle enter. Every oracle call sizes its quadrature
-with :meth:`QuadratureSpec.for_degree` from the mode degrees of its
-integrand and the largest frequency it is evaluated at, and from
-nothing else: not a closed form's value, not the seed itself.
+two-dimensional oracle enter.
+
+Every integral in this module, inner and outer, is a trapezoid sum on a
+:meth:`QuadratureSpec.for_degree` grid, sized from the Hermite degree of
+its integrand and from nothing else: not a closed form's value, not the
+seed itself. An oracle call takes the degree of its mode pair and the
+largest frequency it is evaluated at. An outer integral of a product
+``conj(f) g``, a Gram or a norm, takes the product rule of
+:func:`_product_spec`: both factors vanish past the half-width T of
+their degree and have spectra in [-T, T], so the product's spectrum
+lies in [-2T, 2T], and the spec for that degree with reach T keeps the
+first alias outside it. The one sum on another grid is
+``rotfft_parseval``'s, over the rotate-plus-FFT sample grid itself.
 """
 
 from __future__ import annotations
@@ -35,11 +44,9 @@ from .modes import (
 )
 from .specfun import hermite_function_table
 from .wigner import (
-    DEFAULT_QUAD,
     Grid2D,
     PhasePoint4,
     QuadratureSpec,
-    _trap_axis,
     extended_wigner,
     extended_wigner_grid,
     extended_wigner_rotfft,
@@ -147,6 +154,19 @@ def _sized(degree, *freqs) -> QuadratureSpec:
     arrays."""
     reach = max((float(np.max(np.abs(f))) for f in freqs), default=0.0)
     return QuadratureSpec.for_degree(degree, reach)
+
+
+def _product_spec(degree) -> QuadratureSpec:
+    """Spec for an outer integral of ``conj(f) g``, where f and g are
+    Hermite expansions of ``degree`` along each axis.
+
+    Both factors vanish past the half-width T of that degree, with
+    spectra in [-T, T], so the product's spectrum lies in [-2T, 2T]; the
+    spec with reach T has a spacing of at most pi / T, which keeps the
+    first alias outside it. Its grid reaches T, so an oracle of that
+    degree evaluated across the grid is sized by this same spec.
+    """
+    return QuadratureSpec.for_degree(degree, QuadratureSpec.for_degree(degree).half_width)
 
 
 def _h_stack(degrees):
@@ -299,7 +319,8 @@ def _suite_moyal(seed: int) -> list[CheckResult]:
     deg = 5
 
     def moyal():
-        axis, w = _trap_axis(-10.0, 10.0, 201)
+        # W(h_a, h_b) is a Hermite expansion of degree a + b along each axis
+        axis, w = _product_spec(2 * deg).grid()
         # row (a, b) holds W(h_a, h_b) flattened, so the weighted Gram
         # matrix of the rows must be the identity on index pairs
         a, b = _all_pairs(deg)
@@ -315,7 +336,7 @@ def _suite_orthogonality(seed: int) -> list[CheckResult]:
 
     def hermite_orthonormality():
         nmax = 12
-        p, w = DEFAULT_QUAD.grid()
+        p, w = _product_spec(nmax).grid()
         gram = _gram(hermite_function_table(nmax, p), w)
         return np.abs(gram - np.eye(nmax + 1)).max(), (nmax + 1) ** 2
 
@@ -323,7 +344,8 @@ def _suite_orthogonality(seed: int) -> list[CheckResult]:
 
     def lg_orthonormality():
         cap = 4
-        axis, w = _trap_axis(-8.0, 8.0, 161)
+        # LG(j, k) is a Hermite expansion of degree j + k along each axis
+        axis, w = _product_spec(2 * cap).grid()
         gram = _gram(_lg_stack(cap, axis[:, None], axis[None, :]), np.outer(w, w))
         return np.abs(gram - np.eye(len(gram))).max(), len(gram) ** 2
 
@@ -475,7 +497,8 @@ def _suite_unitarity(seed: int) -> list[CheckResult]:
 
     def inner_products():
         nfuncs, deg = 10, 5
-        axis, w = _trap_axis(-8.0, 8.0, 161)
+        # Wt maps HG(j, k) to LG(j, k), of degree j + k along each axis
+        axis, w = _product_spec(2 * deg).grid()
         w2 = np.outer(w, w)
         # one draw per function, in the order of separate draws
         f = _superposition_2d(
@@ -543,11 +566,6 @@ def _weyl_sigma_grid(sigma: str, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported symbol {sigma!r}; expected one of {SIGMA_SYMBOLS}")
 
 
-# Phase-space window for pairing the symbol with the Wigner transform;
-# the integrand decays like a Gaussian, so this is already converged.
-_WEYL_OUTER = QuadratureSpec(12.0, 240)
-
-
 def _weyl_pairings(pairs, quad: QuadratureSpec | None = None):
     """Per symbol, the left and right pairing of each ``(f, g)`` degree
     pair, and the Kronecker delta of the degrees.
@@ -560,28 +578,29 @@ def _weyl_pairings(pairs, quad: QuadratureSpec | None = None):
     the quadrature Wigner transform of the pair. Every pair shares one
     moment computation and one batched oracle call.
 
-    ``quad`` defaults to the spec sized from the degrees. The kernel
-    moments of ``x**m h_f`` (m <= 2) and the frequency sum of their
-    products with the symbol are Hermite expansions of degree at most
-    f + g + 2, and the moments are taken at frequencies up to
-    ``half_width / sqrt2``, which the outer window's half-width exceeds;
-    the oracle is evaluated across that window.
+    One spec sizes the kernel, the frequency sum, the phase-space grid
+    and the oracle across it. The kernel moments of ``x**m h_f``
+    (m <= 2), their products with the symbol and the symbol times the
+    Wigner transform are Hermite expansions of degree at most
+    d = f + g + 2, so ``quad`` defaults to the product rule of
+    :func:`_product_spec`: each factor vanishes past the half-width T of
+    d with its spectrum in [-T, T], a product's spectrum lies in
+    [-2T, 2T], and ``for_degree(d, T)``, a spacing of at most pi / T,
+    keeps the first alias outside it. Its reach T also covers every
+    frequency the grid evaluates the moments and the oracle at.
     """
     # one array per side, so a bool or float degree keeps its type
     f_deg = np.array([f for f, _ in pairs])
     g_deg = np.array([g for _, g in pairs])
     if quad is None:
-        quad = QuadratureSpec.for_degree(f_deg.max() + g_deg.max() + 2, _WEYL_OUTER.half_width)
+        quad = _product_spec(f_deg.max() + g_deg.max() + 2)
     f_h, g_h = _h_stack(f_deg), _h_stack(g_deg)
     x, w = quad.grid()
     phases = np.exp(1j * np.outer(x, x) / SQRT2)
-    f_vals = f_h(x)
-    g_vals = g_h(x)
+    f_vals, g_vals = f_h(x), g_h(x)
     f_mom = {m: (w * f_vals * x**m) @ phases for m in (0, 1, 2)}
     g_mom = {m: (w * g_vals * x**m) @ np.conj(phases) for m in (0, 1, 2)}
-
-    outer_x, outer_w = _WEYL_OUTER.grid()
-    wig = wigner1d_grid(f_h, g_h, outer_x, outer_x, quad)
+    wig = wigner1d_grid(f_h, g_h, x, x, quad)
 
     pairings = {}
     for sigma in SIGMA_SYMBOLS:
@@ -589,8 +608,8 @@ def _weyl_pairings(pairs, quad: QuadratureSpec | None = None):
         for phi, mf, mg, coeff in _weyl_sigma_terms(sigma, x):
             left = left + coeff * np.sum(w * phi * f_mom[mf] * g_mom[mg], axis=-1)
         left *= 2.0**-1.5 / np.pi
-        sig = _weyl_sigma_grid(sigma, outer_x, outer_x)
-        right = 0.5 / np.sqrt(np.pi) * (outer_w @ (sig * wig) @ outer_w)
+        sig = _weyl_sigma_grid(sigma, x, x)
+        right = 0.5 / np.sqrt(np.pi) * (w @ (sig * wig) @ w)
         pairings[sigma] = (left, right)
     return pairings, (f_deg == g_deg).astype(float)
 
@@ -684,14 +703,16 @@ def _suite_beam(seed: int) -> list[CheckResult]:
         worst = 0.0
         heights = (0.0, params.zR, 3.0 * params.zR)
         for p, ell in _BEAM_CASES:
+            # in sqrt2 r / w(z) the profile is an LG mode of degree
+            # 2p + |ell| along each axis; the chirp cancels in |field|**2
+            u, w = _product_spec(2 * p + abs(ell)).grid()
             for z in heights:
-                w_z = _beam.beam_geometry(params, z).w
-                axis, w = _trap_axis(-6.0 * w_z, 6.0 * w_z, 301)
-                xg, yg = axis[:, None], axis[None, :]
+                scale = _beam.beam_geometry(params, z).w / SQRT2
+                xg, yg = scale * u[:, None], scale * u[None, :]
                 vals = _beam.beam_field(
                     _beam.BeamIndex(p, ell), params, np.hypot(xg, yg), np.arctan2(yg, xg), z
                 )
-                total = np.sum(np.abs(vals) ** 2 * np.outer(w, w))
+                total = np.sum(np.abs(vals) ** 2 * np.outer(w, w)) * scale**2
                 worst = max(worst, abs(total - 1.0))
         return worst, len(_BEAM_CASES) * len(heights)
 

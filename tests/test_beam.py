@@ -93,19 +93,6 @@ def test_transverse_norm_unit_at_heights():
             assert total == pytest.approx(1.0, abs=1e-8)
 
 
-def test_unnormalized_profile_differs_by_constant():
-    idx = BeamIndex(1, -2)
-    r, phi, z = 1.3, 0.4, 2.0
-    bare = beam_field(idx, PARAMS, r, phi, z, normalized=False)
-    scaled = beam_field(idx, PARAMS, r, phi, z)
-    w_z = beam_geometry(PARAMS, z).w
-    ratio = 1.0  # p!/(p+|ell|)!
-    for i in range(idx.p + 1, idx.p + abs(idx.ell) + 1):
-        ratio /= i
-    const = np.sqrt(2.0 * ratio / np.pi) / w_z
-    assert scaled == pytest.approx(bare * const, rel=1e-14)
-
-
 def test_helical_phase():
     idx = BeamIndex(1, 3)
     z = 0.7 * PARAMS.zR

@@ -130,6 +130,17 @@ def test_wigner_malformed_points_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_points_file_not_utf8_exits_2(tmp_path, capsys):
+    pts = tmp_path / "binary.csv"
+    pts.write_bytes(b"x1,x2,xi1,xi2\n0.5,0.5,\xff,0.5\n")
+    out = tmp_path / "never.csv"
+    code = cli.main(["wigner", "hg_general", "--indices", "0", "0", "0", "0", "--points", str(pts), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(pts) in err and "UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, lineno",
     [

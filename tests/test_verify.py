@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from lgwigner.beam import BeamIndex, BeamParams, beam_field, beam_geometry
 from lgwigner.modes import DEFAULT_FD_STEP, ModeIndex, lg_mode
-from lgwigner.specfun import hermite_function
+from lgwigner.specfun import hermite_function, hermite_function_table
 from lgwigner.verify import (
     SIGMA_SYMBOLS,
     SUITE_CHECKS,
     SUITE_NAMES,
+    _gram,
     _weyl_pairings,
     run_suite,
     weyl_pairing_check,
@@ -177,10 +179,52 @@ def _weyl_values(quad):
     return np.concatenate([np.concatenate(sides) for sides in pairings.values()])
 
 
+def _half_width(degree):
+    return QuadratureSpec.for_degree(degree).half_width
+
+
+def _gram_on(quad, stack, ndim=2):
+    """Weighted Gram matrix of the fields ``stack(axis, quad)`` returns,
+    stacked ahead of their samples on the ``ndim``-fold grid of ``quad``."""
+    axis, w = quad.grid()
+    return _gram(stack(axis, quad), np.outer(w, w) if ndim == 2 else w)
+
+
+def _moyal_gram(quad):
+    pairs = [(5, 5), (5, 0), (4, 5), (0, 0)]
+    return _gram_on(quad, lambda a, q: np.array([wigner1d_grid(_h(j), _h(k), a, a, q) for j, k in pairs]))
+
+
+def _lg_gram(quad):
+    pairs = [(4, 4), (0, 4), (3, 1)]
+    return _gram_on(quad, lambda a, q: np.array([_lg(j, k)(a[:, None], a[None, :]) for j, k in pairs]))
+
+
+def _wtilde_grams(quad):
+    pairs = [(5, 5), (5, 0), (2, 3)]
+    fields = [_hg(j, k) for j, k in pairs]
+    grid_in = lambda a, q: np.array([f(a[:, None], a[None, :]) for f in fields])
+    grid_out = lambda a, q: np.array([extended_wigner_grid(f, a, a, q) for f in fields])
+    return np.concatenate([_gram_on(quad, grid_in), _gram_on(quad, grid_out)])
+
+
+_BEAM_PARAMS = BeamParams(w0=1.3, k=9.0)
+
+
+def _beam_norm(quad):
+    z = 3.0 * _BEAM_PARAMS.zR
+    scale = beam_geometry(_BEAM_PARAMS, z).w / np.sqrt(2.0)
+    u, w = quad.grid()
+    x, y = scale * u[:, None], scale * u[None, :]
+    vals = beam_field(BeamIndex(2, -1), _BEAM_PARAMS, np.hypot(x, y), np.arctan2(y, x), z)
+    return np.sum(np.abs(vals) ** 2 * np.outer(w, w)) * scale**2
+
+
 _EDGE = np.array([-2.0, 0.7, 2.0])
 
 #: Each oracle at the largest integrand degree and reach (largest |xi|)
-#: that a full-budget check sizes it for, evaluated out to that reach.
+#: that a full-budget check sizes it for, evaluated out to that reach,
+#: and each outer Gram or norm at the degree its check sizes it for.
 _SIZED_ORACLES = {
     # hermiticity: degree 16, |xi| <= 2
     "wigner1d": (16, 2.0, lambda q: wigner1d(_h(8), _h(8), _EDGE, -_EDGE, q)),
@@ -204,8 +248,21 @@ _SIZED_ORACLES = {
     ),
     # lg_product_vs_quadrature2d: j + k + m + n <= 12, |xi| <= 2
     "wigner2d": (12, 2.0, lambda q: wigner2d(_lg(3, 3), _lg(2, 4), PhasePoint4(0.4, -1.1, 2.0, -2.0), q)),
-    # weyl: f + g <= 8, so kernel moments of degree 10; oracle across [-12, 12]
-    "weyl": (10, 12.0, _weyl_values),
+    # weyl: f + g <= 8, so kernel moments of degree 10; one product spec
+    # for the kernel, the frequency sum and the phase-space grid
+    "weyl": (10, _half_width(10), _weyl_values),
+    # the outer Grams and norms take the product rule: degree d, reach
+    # the half-width of d
+    "moyal_gram": (10, _half_width(10), _moyal_gram),
+    "hermite_gram": (
+        12,
+        _half_width(12),
+        lambda q: _gram_on(q, lambda a, _: hermite_function_table(12, a), ndim=1),
+    ),
+    "lg_gram": (8, _half_width(8), _lg_gram),
+    "wtilde_gram": (10, _half_width(10), _wtilde_grams),
+    # transverse_norm_constant: (2, -1) is of degree 2p + |ell| = 5 in sqrt2 r / w(z)
+    "beam_norm": (5, _half_width(5), _beam_norm),
 }
 
 
