@@ -3,8 +3,9 @@
 The transverse profile at the waist coincides (after rescaling) with the
 oscillator LG modes from :mod:`lgwigner.modes`; away from the waist the
 field picks up the usual width growth, wavefront curvature, and Gouy
-phase. The curvature is handled through its reciprocal so the waist plane
-needs no special casing.
+phase. The curvature phase k r**2 / (2 R) is evaluated as its equal
+(r/w)**2 (z/zR), so the waist plane needs no special casing and no
+intermediate overflows.
 """
 
 from __future__ import annotations
@@ -138,10 +139,13 @@ def beam_field(
     dead = gauss == 0
     if dead.any():
         ra = np.where(dead, 0.0, ra)
+    # the curvature term k r**2 / (2 R) as its equal (r/w)**2 (z/zR), which
+    # never forms k r**2: (r/w)**2 < 745 where the Gaussian is alive and
+    # |z/zR| <= 1e150, so it stays finite on the whole domain
     total_phase = (
         index.ell * pa
         - params.k * z
-        + 0.5 * params.k * ra * ra * geom.inv_R
+        + (ra / w) ** 2 * (z / params.zR)
         - (2 * index.p + index.ell + 1) * geom.gouy
     )
     radial = (

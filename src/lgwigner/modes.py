@@ -6,7 +6,8 @@ positive and negative angular-momentum quanta ``(n_plus, n_minus)``.
 The module provides position-representation evaluation of both families,
 index-space actions of the eight ladder operators, and pointwise
 application of the same operators as first-order differential expressions
-(analytically for basis modes, by central differences for any field).
+(with the partials a field carries, as the basis fields do, and by central
+differences for any other callable).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "lg_field",
     "ladder_index_action",
     "apply_operator_pointwise",
-    "lg_eigenvalues",
 ]
 
 DEFAULT_FD_STEP = 1e-5
@@ -196,11 +196,6 @@ def lg_mode(index: ModeIndex, x, y) -> complex | np.ndarray:
     return value
 
 
-def lg_eigenvalues(index: ModeIndex) -> tuple[int, int]:
-    """Total number and angular momentum eigenvalues (N, L) of an LG mode."""
-    return index.total_number, index.angular_momentum
-
-
 def ladder_index_action(op: LadderOp, index: ModeIndex):
     """Index-space action of a ladder operator.
 
@@ -311,13 +306,7 @@ def lg_field(index: ModeIndex) -> _LGField:
 
 
 @_scalars_as_arrays(complex, "x", "y")
-def apply_operator_pointwise(
-    op: LadderOp,
-    f,
-    x,
-    y,
-    mode: str = "finite_difference",
-) -> complex | np.ndarray:
+def apply_operator_pointwise(op: LadderOp, f, x, y) -> complex | np.ndarray:
     """Apply a ladder operator to a field at a point or an array of points.
 
     Each operator is a first-order differential expression in (x, y); for
@@ -331,29 +320,24 @@ def apply_operator_pointwise(
     f : callable
         Field ``f(x, y) -> complex``, always called with numpy arrays (a
         scalar point arrives as one-element arrays), so it must accept
-        them. In ``"analytic"`` mode it must be a basis field from
-        :func:`hg_field` or :func:`lg_field` (anything exposing
-        ``partial_x``/``partial_y``).
+        them. A field with both ``partial_x`` and ``partial_y`` methods,
+        such as the basis fields from :func:`hg_field` and
+        :func:`lg_field`, has its partials taken from them; for any other
+        callable they are central differences with step
+        ``DEFAULT_FD_STEP`` = 1e-5, balancing truncation and rounding.
     x, y : float or array_like
         Evaluation points, broadcast against each other. Scalar input
         returns a ``complex``, array input an array of the broadcast shape.
-    mode : {"finite_difference", "analytic"}
-        How the partial derivatives are obtained. Central differences step
-        by ``DEFAULT_FD_STEP`` = 1e-5, balancing truncation and rounding.
     """
     cx, cdx, cy, cdy = _OP_POINTWISE[op]
     step = DEFAULT_FD_STEP
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if mode == "analytic":
-        if not (hasattr(f, "partial_x") and hasattr(f, "partial_y")):
-            raise ValueError("analytic mode requires an HG/LG basis field")
+    if hasattr(f, "partial_x") and hasattr(f, "partial_y"):
         fx = f.partial_x(x, y)
         fy = f.partial_y(x, y)
-    elif mode == "finite_difference":
+    else:
         fx = (f(x + step, y) - f(x - step, y)) / (2.0 * step)
         fy = (f(x, y + step) - f(x, y - step)) / (2.0 * step)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     f0 = f(x, y)
     return cx * x * f0 + cdx * fx + cy * y * f0 + cdy * fy

@@ -6,8 +6,10 @@ is reproducible from ``(suite, seed)``. There is one budget, ``full``:
 each suite runs at one size, its documented limits. Tolerances are
 fixed per check from the quadrature error budget: 1e-10 to 1e-12 where
 only closed forms and spectrally accurate quadrature meet, loosened to
-1e-6 where finite differences, the sampled rotate-plus-FFT grid, or the
-two-dimensional oracle enter.
+1e-6 where the sampled rotate-plus-FFT grid or the two-dimensional
+oracle enter. The intertwining checks take their partials under the
+integral, so no check here differences numerically; they keep a 1e-6
+gate, and their accuracy shows as margin.
 
 Every integral in this module, inner and outer, is a trapezoid sum on a
 :meth:`QuadratureSpec.for_degree` grid, sized from the Hermite degree of
@@ -33,7 +35,6 @@ import numpy as np
 from . import beam as _beam
 from .modes import (
     ANNIHILATED,
-    DEFAULT_FD_STEP,
     LadderOp,
     ModeIndex,
     apply_operator_pointwise,
@@ -42,7 +43,7 @@ from .modes import (
     lg_field,
     lg_mode,
 )
-from .specfun import hermite_function_table
+from .specfun import hermite_function_derivative, hermite_function_table
 from .wigner import (
     Grid2D,
     PhasePoint4,
@@ -176,6 +177,12 @@ def _h_stack(degrees):
     # the table checks the type and range of the top degree
     top = degrees.max()
     return lambda t: hermite_function_table(top, t)[degrees]
+
+
+def _dh_stack(degrees):
+    """As :func:`_h_stack`, for the derivatives ``h_d'(t)``."""
+    degrees = np.asarray(degrees)
+    return lambda t: np.array([hermite_function_derivative(d, t) for d in range(degrees.max() + 1)])[degrees]
 
 
 def _hg_stack(j, k):
@@ -361,19 +368,40 @@ _INTERTWINE_PAIRS = (
 )
 
 
+def _transformed_hg(cap: int, ys):
+    """Field ``out[j, k] = Wt(h_j (x) h_k)(x, y)`` for every ``j, k <= cap``,
+    sized for ``|y| <= max |ys|``, with its partials taken under the
+    integral.
+
+    With the compressed arguments u, v = (x +- p)/sqrt2, d/dx moves both
+    by 1/sqrt2 and d/dy brings down i p = i (u - v)/sqrt2. Both partial
+    integrands are Hermite expansions of degree 2 cap + 1.
+    """
+    j, k = _all_pairs(cap)
+    hj, hk, dj, dk = _h_stack(j), _h_stack(k), _dh_stack(j), _dh_stack(k)
+    quad, dquad = _sized(2 * cap, ys), _sized(2 * cap + 1, ys)
+
+    def field(x, y):
+        return extended_wigner(lambda u, v: hj(u) * hk(v), x, y, quad)
+
+    field.partial_x = lambda x, y: extended_wigner(
+        lambda u, v: (dj(u) * hk(v) + hj(u) * dk(v)) / SQRT2, x, y, dquad
+    )
+    field.partial_y = lambda x, y: extended_wigner(
+        lambda u, v: 1j * (u - v) / SQRT2 * hj(u) * hk(v), x, y, dquad
+    )
+    return field
+
+
 def _suite_intertwine(seed: int) -> list[CheckResult]:
     cap, npts = 4, 50
-    hg = _hg_stack(*_all_pairs(cap))
     checks = []
     for tag, (name, circ_op, cart_op) in enumerate(_INTERTWINE_PAIRS):
 
         def one_pair(circ_op=circ_op, cart_op=cart_op, tag=tag):
             rng = np.random.default_rng([seed, 4, tag])
             xs, ys = rng.uniform(-2.0, 2.0, size=(npts, 2)).T
-            # the central differences also evaluate at y +- step
-            quad = _sized(2 * cap, np.abs(ys) + DEFAULT_FD_STEP)
-            transformed = lambda x, y: extended_wigner(hg, x, y, quad)
-            lhs = apply_operator_pointwise(circ_op, transformed, xs, ys)
+            lhs = apply_operator_pointwise(circ_op, _transformed_hg(cap, ys), xs, ys)
             # index-space action on every HG(j, k); an annihilated mode
             # keeps coefficient 0 and any valid target
             coeff = np.zeros((cap + 1, cap + 1))

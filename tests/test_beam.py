@@ -1,6 +1,8 @@
 """Beam geometry and field checks, including the waist-plane match with
 the oscillator LG modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -129,6 +131,34 @@ def test_geometry_requires_finite_k_z(z):
     with pytest.raises(ValueError, match=r"k \|z\| must be finite"):
         beam_field(BeamIndex(0, 0), params, 0.0, 0.0, z)
     assert beam_geometry(params, 1e7).inv_R > 0  # k |z| = 1e307 is finite
+
+
+#: (w0, k, z) at the corners of the domain: w0 = 1e150, |z| = 1e150 zR and
+#: k |z| near the float limit. In the first two and the last, zR**2
+#: overflows, so 1/R underflows to 0, and k r**2 overflows in the bulk.
+_CORNERS = [
+    (1e150, 3e8, 5e299),
+    (1e150, 3e8, -5e299),
+    (1e150, 1e-200, 1e150 * BeamParams(1e150, 1e-200).zR),
+    (1e150, 1e-200, -1e150 * BeamParams(1e150, 1e-200).zR),
+    (1e-100, 1.4e179, 1e150 * BeamParams(1e-100, 1.4e179).zR),
+    (1.0, 1e307, 1.0),
+]
+
+
+@pytest.mark.parametrize("w0, k, z", _CORNERS)
+def test_field_finite_at_the_domain_corners(w0, k, z):
+    params = BeamParams(w0, k)
+    w = beam_geometry(params, z).w
+    # from the axis through the bulk and the tail out to |r| = sqrt2 1e150
+    r = np.minimum(w * np.array([0.0, 0.1, 1.0, 3.0, 10.0, 27.0]), np.sqrt(2.0) * 1e150)
+    r = np.append(r, np.sqrt(2.0) * 1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = beam_field(BeamIndex(2, -3), params, r, 0.7, z)
+    assert np.isfinite(values).all()
+    if r[2] == w:  # the bulk, r = w, lies inside the domain
+        assert values[2] != 0
 
 
 def test_parameter_validation():

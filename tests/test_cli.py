@@ -220,6 +220,20 @@ def test_values_past_the_gaussian_underflow_are_written_as_numbers(tmp_path, arg
     assert not np.isnan(rows).any()
 
 
+def test_beam_curvature_does_not_overflow(tmp_path):
+    # zR = 5e306, so zR**2 overflows and 1/R underflows to 0, while
+    # k r**2 = 1e307 r**2 overflows at every sample past r = 1.35
+    out = tmp_path / "curvature.csv"
+    argv = [
+        "beam", "--index", "0", "0", "--w0", "1", "--k", "1e307", "--z", "1",
+        "--xmin=-8", "--xmax", "8", "--ymin=-8", "--ymax", "8", "--nx", "5", "--ny", "5",
+    ]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert "nan" not in out.read_text()
+    _, rows = _read_csv(out)
+    assert len(rows) == 25 and np.isfinite(rows).all()
+
+
 def test_verify_subcommand_writes_report(tmp_path):
     out = tmp_path / "report.json"
     code = cli.main(["verify", "beam", "--seed", "3", "--out", str(out)])

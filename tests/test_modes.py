@@ -17,7 +17,6 @@ from lgwigner.modes import (
     hg_field,
     hg_mode,
     ladder_index_action,
-    lg_eigenvalues,
     lg_field,
     lg_mode,
 )
@@ -120,9 +119,9 @@ def test_lg_grid_normalization():
 
 
 def test_lg_eigenvalues():
-    assert lg_eigenvalues(ModeIndex.lg(0, 0)) == (0, 0)
-    assert lg_eigenvalues(ModeIndex.lg(2, 1)) == (3, 1)
-    assert lg_eigenvalues(ModeIndex.lg(0, 4)) == (4, -4)
+    for index, (total, angular) in [((0, 0), (0, 0)), ((2, 1), (3, 1)), ((0, 4), (4, -4))]:
+        assert ModeIndex.lg(*index).total_number == total
+        assert ModeIndex.lg(*index).angular_momentum == angular
 
 
 def test_ladder_index_action_examples():
@@ -146,22 +145,28 @@ def test_ladder_index_action_basis_mismatch():
         ladder_index_action(LadderOp.APLUS, ModeIndex.hg(1, 1))
 
 
+def _plain(fld):
+    """The field as a plain callable, without its partials, so that
+    ``apply_operator_pointwise`` takes central differences of it."""
+    return lambda x, y: fld(x, y)
+
+
 def test_apply_operator_annihilates_ground_state():
     fld = lg_field(ModeIndex.lg(0, 0))
     for op in (LadderOp.APLUS, LadderOp.AMINUS):
         for x, y in [(0.0, 0.0), (0.7, -1.3), (-2.0, 0.4)]:
-            assert abs(apply_operator_pointwise(op, fld, x, y)) <= 1e-8
-            assert abs(apply_operator_pointwise(op, fld, x, y, mode="analytic")) <= 1e-14
+            assert abs(apply_operator_pointwise(op, _plain(fld), x, y)) <= 1e-8
+            assert abs(apply_operator_pointwise(op, fld, x, y)) <= 1e-14
 
 
 def test_apply_operator_matches_index_action_examples():
-    fld = hg_field(ModeIndex.hg(0, 0))
+    fld = _plain(hg_field(ModeIndex.hg(0, 0)))
     for x, y in [(0.2, 0.9), (-1.0, 0.0)]:
         got = apply_operator_pointwise(LadderOp.A1DAG, fld, x, y)
         want = hg_mode(ModeIndex.hg(1, 0), x, y)
         assert got == pytest.approx(want, abs=1e-8)
 
-    fld = lg_field(ModeIndex.lg(1, 0))
+    fld = _plain(lg_field(ModeIndex.lg(1, 0)))
     got = apply_operator_pointwise(LadderOp.APLUSDAG, fld, 0.3, -0.7)
     want = np.sqrt(2.0) * lg_mode(ModeIndex.lg(2, 0), 0.3, -0.7)
     assert got == pytest.approx(want, abs=1e-6)
@@ -174,12 +179,12 @@ def test_apply_operator_accepts_point_arrays():
         (lg_field(ModeIndex.lg(1, 2)), LadderOp.AMINUSDAG),
         (hg_field(ModeIndex.hg(2, 0)), LadderOp.A1),
     ):
-        for mode in ("finite_difference", "analytic"):
-            got = apply_operator_pointwise(op, fld, x, y, mode=mode)
+        for f in (_plain(fld), fld):
+            got = apply_operator_pointwise(op, f, x, y)
             assert got.shape == (6,)
             for i in range(6):
-                assert got[i] == apply_operator_pointwise(op, fld, x[i], y[i], mode=mode)
-            assert type(apply_operator_pointwise(op, fld, 0.4, -0.9, mode=mode)) is complex
+                assert got[i] == apply_operator_pointwise(op, f, x[i], y[i])
+            assert type(apply_operator_pointwise(op, f, 0.4, -0.9)) is complex
 
 
 def test_pointwise_ladder_consistency_random():
@@ -198,16 +203,34 @@ def test_pointwise_ladder_consistency_random():
             want = coeff * hg_mode(target, x, y)
         else:
             want = coeff * lg_mode(target, x, y)
-        assert abs(apply_operator_pointwise(op, fld, x, y) - want) <= 1e-6
-        assert abs(apply_operator_pointwise(op, fld, x, y, mode="analytic") - want) <= 1e-10
+        assert abs(apply_operator_pointwise(op, _plain(fld), x, y) - want) <= 1e-6
+        assert abs(apply_operator_pointwise(op, fld, x, y) - want) <= 1e-10
 
 
-def test_analytic_mode_requires_basis_field():
-    plain = lambda x, y: np.exp(-(x * x + y * y))
-    with pytest.raises(ValueError):
-        apply_operator_pointwise(LadderOp.A1, plain, 0.1, 0.2, mode="analytic")
-    with pytest.raises(ValueError):
-        apply_operator_pointwise(LadderOp.A1, plain, 0.1, 0.2, mode="nonsense")
+class _Ramp:
+    """The field f = x + y with partials that disagree with it, so the
+    result shows which partials were used."""
+
+    def __call__(self, x, y):
+        return x + y
+
+    def partial_x(self, x, y):
+        return np.full_like(x, 2.0)
+
+    def partial_y(self, x, y):
+        return np.full_like(x, 3.0)
+
+
+def test_apply_operator_takes_the_partials_a_field_carries():
+    # A1 = (x f + df/dx) / sqrt2 and A2 = (y f + df/dy) / sqrt2
+    assert apply_operator_pointwise(LadderOp.A1, _Ramp(), 0.5, 0.25) == pytest.approx((0.375 + 2.0) / np.sqrt(2.0))
+    assert apply_operator_pointwise(LadderOp.A2, _Ramp(), 0.5, 0.25) == pytest.approx((0.1875 + 3.0) / np.sqrt(2.0))
+    # without both partials the field is differenced: df/dx = 1
+    only_x = lambda x, y: _Ramp()(x, y)
+    only_x.partial_x = _Ramp().partial_x
+    assert apply_operator_pointwise(LadderOp.A1, only_x, 0.5, 0.25) == pytest.approx((0.375 + 1.0) / np.sqrt(2.0))
+    with pytest.raises(TypeError):
+        apply_operator_pointwise(LadderOp.A1, _Ramp(), 0.5, 0.25, mode="analytic")
 
 
 def test_mode_index_validation():

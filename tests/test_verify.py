@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from lgwigner.beam import BeamIndex, BeamParams, beam_field, beam_geometry
-from lgwigner.modes import DEFAULT_FD_STEP, ModeIndex, lg_mode
-from lgwigner.specfun import hermite_function, hermite_function_table
+from lgwigner import verify
+from lgwigner.modes import ModeIndex, lg_mode
+from lgwigner.specfun import hermite_function, hermite_function_derivative, hermite_function_table
 from lgwigner.verify import (
     SIGMA_SYMBOLS,
     SUITE_CHECKS,
@@ -135,6 +136,16 @@ def test_json_round_trip():
     assert [c["name"] for c in parsed["checks"]] == list(MANIFEST["orthogonality"])
 
 
+def test_intertwine_checks_fail_on_a_sign_flipped_hermite_derivative(monkeypatch):
+    # the partials under the integral are built from h_n', so a wrong sign
+    # there must show against the index-space ladder action
+    derivative = verify.hermite_function_derivative
+    monkeypatch.setattr(verify, "hermite_function_derivative", lambda n, x: -derivative(n, x))
+    report = run_suite("intertwine", seed=7)
+    assert [c.name for c in report.checks] == list(MANIFEST["intertwine"])
+    assert not any(c.passed for c in report.checks)
+
+
 def test_weyl_pairing_check_identity_symbol():
     same = weyl_pairing_check("one", 2, 2)
     assert same.passed and same.max_abs_err <= 1e-6
@@ -172,6 +183,12 @@ def _hg(j, k):
 
 def _lg(j, k):
     return lambda u, v: lg_mode(ModeIndex.lg(j, k), u, v)
+
+
+def _dx_integrand(j, k):
+    """Integrand of d/dx Wt(h_j (x) h_k): (F_u + F_v) / sqrt2."""
+    d = hermite_function_derivative
+    return lambda u, v: (d(j, u) * hermite_function(k, v) + hermite_function(j, u) * d(k, v)) / np.sqrt(2.0)
 
 
 def _weyl_values(quad):
@@ -234,12 +251,9 @@ _SIZED_ORACLES = {
         12.0,
         lambda q: wigner1d_grid(_h(8), _h(8), np.linspace(-3, 3, 7), np.linspace(-12, 12, 9), q),
     ),
-    # intertwine: raised targets of degree 9, |y| <= 2 plus the difference step
-    "extended_wigner": (
-        9,
-        2.0 + DEFAULT_FD_STEP,
-        lambda q: extended_wigner(_hg(4, 5), _EDGE, -(_EDGE + DEFAULT_FD_STEP), q),
-    ),
+    # intertwine: the x partial under the integral, of degree 2 cap + 1 = 9
+    # (as are the raised targets), |y| <= 2
+    "extended_wigner": (9, 2.0, lambda q: extended_wigner(_dx_integrand(4, 4), _EDGE, -_EDGE, q)),
     # extended_wigner_maps_hg_to_lg: degree 12; wtilde_inner_products: |y| <= 8
     "extended_wigner_grid": (
         12,
