@@ -275,6 +275,19 @@ def test_verify_failure_exits_1(monkeypatch, tmp_path):
     assert cli.main(["verify", "beam", "--out", str(tmp_path / "r.json")]) == 1
 
 
+def test_verify_summary_reports_a_nan_error(monkeypatch, capsys):
+    from lgwigner.verify import CheckResult, SuiteReport
+
+    def fake(name, seed=0, budget="full"):
+        good = CheckResult("a", 1e-16, 1e-6, True, 1, 0.0)
+        bad = CheckResult("b", float("nan"), 1e-6, False, 1, 0.0)
+        return SuiteReport(suite=name, checks=[good, bad], passed=False, seed=seed)
+
+    monkeypatch.setattr(cli, "run_suite", fake)
+    assert cli.main(["verify", "beam"]) == 1
+    assert "FAIL (2 checks, worst error nan," in capsys.readouterr().out
+
+
 def test_usage_errors_exit_2(tmp_path):
     out = tmp_path / "x.csv"
     # inverted bounds

@@ -146,6 +146,51 @@ def test_intertwine_checks_fail_on_a_sign_flipped_hermite_derivative(monkeypatch
     assert not any(c.passed for c in report.checks)
 
 
+def test_timed_reduces_every_deviation():
+    dev = np.array([[1e-9, -3e-7, 2e-7j], [0.0, 1e-8, -1e-9j]])
+    check = verify._timed("t", 1e-6, lambda: dev)
+    assert check.max_abs_err == 3e-7 and check.passed and check.samples == dev.size
+    # a NaN anywhere fails the check, which Python's max would miss
+    for position in range(dev.size):
+        with_nan = dev.copy()
+        with_nan.flat[position] = np.nan
+        check = verify._timed("t", 1e-6, lambda: with_nan)
+        assert np.isnan(check.max_abs_err) and not check.passed
+        assert check.samples == dev.size
+
+
+def _nan_wigner2d(*args, **kwargs):
+    return complex(np.nan)
+
+
+def _nan_beam_field(index, params, r, phi, z):
+    return np.full(np.broadcast(r, phi).shape, complex(np.nan))
+
+
+def _nan_gouy_below_the_waist(params, z):
+    geometry = beam_geometry(params, z)
+    return geometry._replace(gouy=np.nan) if z < 0 else geometry
+
+
+#: Per check: its suite and a NaN defect, as (module, attribute,
+#: replacement), that a reduction with Python's max would let pass at 0.0
+_NAN_DEFECTS = {
+    "lg_product_vs_quadrature2d": ("product_theorem", verify, "wigner2d", _nan_wigner2d),
+    "hg_product_vs_quadrature2d": ("product_theorem", verify, "wigner2d", _nan_wigner2d),
+    "waist_plane_matches_lg": ("beam", verify._beam, "beam_field", _nan_beam_field),
+    "transverse_norm_constant": ("beam", verify._beam, "beam_field", _nan_beam_field),
+    "gouy_at_rayleigh": ("beam", verify._beam, "beam_geometry", _nan_gouy_below_the_waist),
+}
+
+
+@pytest.mark.parametrize("check", list(_NAN_DEFECTS))
+def test_check_fails_on_a_nan(monkeypatch, check):
+    suite, module, attr, defect = _NAN_DEFECTS[check]
+    monkeypatch.setattr(module, attr, defect)
+    result = {c.name: c for c in run_suite(suite, seed=7).checks}[check]
+    assert np.isnan(result.max_abs_err) and not result.passed
+
+
 def test_weyl_pairing_check_identity_symbol():
     same = weyl_pairing_check("one", 2, 2)
     assert same.passed and same.max_abs_err <= 1e-6
