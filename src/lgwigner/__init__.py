@@ -1,91 +1,18 @@
 """Laguerre-Gaussian and Hermite-Gaussian modes, their Wigner transforms,
 paraxial beam fields, and a verification engine for the identities that
 tie them together.
+
+Each module declares its public names once, in its ``__all__``; the
+package re-exports exactly those.
 """
 
-from .specfun import (
-    MAX_DEGREE,
-    hermite_poly,
-    hermite_function,
-    hermite_function_table,
-    hermite_function_derivative,
-    laguerre,
-)
-from .modes import (
-    ANNIHILATED,
-    Basis,
-    LadderOp,
-    ModeIndex,
-    apply_operator_pointwise,
-    hg_field,
-    hg_mode,
-    ladder_index_action,
-    lg_field,
-    lg_mode,
-)
-from .wigner import (
-    DEFAULT_QUAD,
-    Grid2D,
-    PhasePoint4,
-    QuadratureSpec,
-    extended_wigner,
-    extended_wigner_grid,
-    extended_wigner_rotfft,
-    wigner1d,
-    wigner1d_grid,
-    wigner2d,
-    wigner_hermite_closed,
-    wigner_hg_closed,
-    wigner_hg_diag,
-    wigner_lg_closed,
-    wigner_lg_diag,
-)
-from .beam import BeamGeometry, BeamIndex, BeamParams, beam_field, beam_geometry
-from .verify import CheckResult, SuiteReport, SUITE_NAMES, run_suite, weyl_pairing_check
+from . import beam, modes, specfun, verify, wigner
+from .beam import *
+from .modes import *
+from .specfun import *
+from .verify import *
+from .wigner import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_DEGREE",
-    "hermite_poly",
-    "hermite_function",
-    "hermite_function_table",
-    "hermite_function_derivative",
-    "laguerre",
-    "ANNIHILATED",
-    "Basis",
-    "LadderOp",
-    "ModeIndex",
-    "apply_operator_pointwise",
-    "hg_field",
-    "hg_mode",
-    "ladder_index_action",
-    "lg_field",
-    "lg_mode",
-    "DEFAULT_QUAD",
-    "Grid2D",
-    "PhasePoint4",
-    "QuadratureSpec",
-    "extended_wigner",
-    "extended_wigner_grid",
-    "extended_wigner_rotfft",
-    "wigner1d",
-    "wigner1d_grid",
-    "wigner2d",
-    "wigner_hermite_closed",
-    "wigner_hg_closed",
-    "wigner_hg_diag",
-    "wigner_lg_closed",
-    "wigner_lg_diag",
-    "BeamGeometry",
-    "BeamIndex",
-    "BeamParams",
-    "beam_field",
-    "beam_geometry",
-    "CheckResult",
-    "SuiteReport",
-    "SUITE_NAMES",
-    "run_suite",
-    "weyl_pairing_check",
-    "__version__",
-]
+__all__ = [name for module in (specfun, modes, wigner, beam, verify) for name in module.__all__] + ["__version__"]

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import MAX_DEGREE, _scalars_as_arrays, laguerre
+from .specfun import MAX_DEGREE, _check_int, _scalars_as_arrays, laguerre
 
 __all__ = ["BeamParams", "BeamIndex", "BeamGeometry", "beam_geometry", "beam_field"]
 
@@ -55,14 +55,8 @@ class BeamIndex:
     ell: int
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or isinstance(self.p, bool):
-            raise TypeError("p must be an integer")
-        if not isinstance(self.ell, (int, np.integer)) or isinstance(self.ell, bool):
-            raise TypeError("ell must be an integer")
-        if not 0 <= self.p <= MAX_DEGREE:
-            raise ValueError(f"p={self.p} outside supported range [0, {MAX_DEGREE}]")
-        if abs(self.ell) > MAX_DEGREE:
-            raise ValueError(f"|ell|={abs(self.ell)} exceeds {MAX_DEGREE}")
+        _check_int(self.p, "p", 0, MAX_DEGREE)
+        _check_int(self.ell, "ell", -MAX_DEGREE, MAX_DEGREE)
 
 
 class BeamGeometry(NamedTuple):
@@ -119,39 +113,35 @@ def beam_field(
     The constant ``C = sqrt(2 p! / (pi (p+|ell|)!)) / w(z)`` makes the
     transverse L2 norm equal 1 at every z.
 
-    ``r`` must be non-negative; ``r`` and ``phi`` may be arrays.
+    ``r`` and ``phi`` may be arrays; both must be finite, ``r`` non-negative.
     """
-    ra = np.asarray(r, dtype=float)
-    pa = np.asarray(phi, dtype=float)
-    if not (np.all(np.isfinite(ra)) and np.all(np.isfinite(pa))):
-        raise ValueError("r and phi must be finite")
-    if np.any(ra < 0):
+    if np.any(r < 0):
         raise ValueError("r must be non-negative")
     geom = beam_geometry(params, z)
     w = geom.w
     ell_abs = abs(index.ell)
     # r**2 / w**2 may overflow to inf, whose Gaussian is the 0 it should be
     with np.errstate(over="ignore"):
-        gauss = np.exp(-(ra * ra) / (w * w))
+        gauss = np.exp(-(r * r) / (w * w))
     # where the Gaussian underflows the value is 0: zero r there first, so
     # neither the power of r nor the polynomial can overflow (r is the
     # caller's array, so in a copy, made only when some point needs it)
     dead = gauss == 0
     if dead.any():
-        ra = np.where(dead, 0.0, ra)
+        r = np.where(dead, 0.0, r)
     # the curvature term k r**2 / (2 R) as its equal (r/w)**2 (z/zR), which
     # never forms k r**2: (r/w)**2 < 745 where the Gaussian is alive and
     # |z/zR| <= 1e150, so it stays finite on the whole domain
     total_phase = (
-        index.ell * pa
+        index.ell * phi
         - params.k * z
-        + (ra / w) ** 2 * (z / params.zR)
+        + (r / w) ** 2 * (z / params.zR)
         - (2 * index.p + index.ell + 1) * geom.gouy
     )
     radial = (
         gauss
-        * (ra * np.sqrt(2.0) / w) ** ell_abs
-        * laguerre(index.p, ell_abs, 2.0 * ra * ra / (w * w))
+        * (r * np.sqrt(2.0) / w) ** ell_abs
+        * laguerre(index.p, ell_abs, 2.0 * r * r / (w * w))
     )
     norm = np.sqrt(2.0 * _factorial_ratio(index.p, ell_abs) / np.pi) / w
     value = np.exp(-1j * total_phase) * radial * norm

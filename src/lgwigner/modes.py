@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
-    MAX_DEGREE,
+    _check_degree,
     _scalars_as_arrays,
     hermite_function,
     hermite_function_derivative,
@@ -71,13 +71,8 @@ class ModeIndex:
     basis: Basis
 
     def __post_init__(self):
-        for name, value in (("first", self.first), ("second", self.second)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise TypeError(f"{name} index must be an integer")
-            if not 0 <= value <= MAX_DEGREE:
-                raise ValueError(
-                    f"{name} index {value} outside supported range [0, {MAX_DEGREE}]"
-                )
+        _check_degree(self.first, "first index")
+        _check_degree(self.second, "second index")
         if not isinstance(self.basis, Basis):
             raise TypeError("basis must be a Basis enum member")
 
@@ -179,10 +174,8 @@ def lg_mode(index: ModeIndex, x, y) -> complex | np.ndarray:
     """
     index._require(Basis.LG)
     lo, hi = sorted((index.first, index.second))
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    z = xa + 1j * ya
-    rho = xa * xa + ya * ya
+    z = x + 1j * y
+    rho = x * x + y * y
     gauss = np.exp(-0.5 * rho)
     # where the Gaussian underflows the value is 0: zero the point there
     # first, so neither the power of z nor the polynomial can overflow
@@ -331,8 +324,6 @@ def apply_operator_pointwise(op: LadderOp, f, x, y) -> complex | np.ndarray:
     """
     cx, cdx, cy, cdy = _OP_POINTWISE[op]
     step = DEFAULT_FD_STEP
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if hasattr(f, "partial_x") and hasattr(f, "partial_y"):
         fx = f.partial_x(x, y)
         fy = f.partial_y(x, y)

@@ -6,6 +6,11 @@ formulas, so degrees up to ``MAX_DEGREE`` evaluate without overflow and
 with near machine accuracy. All functions accept scalars or numpy arrays
 and are pure, so they are safe to call concurrently.
 
+The module also holds the package's argument rules, each written once:
+``_check_int`` for every integer argument (degrees, counts, indices),
+and ``_scalars_as_arrays`` for every pointwise evaluator's coordinates,
+which must be finite and are refused under the name the caller passed.
+
 The Hermite-function and Laguerre recurrences run blocked: they walk the
 flattened points in blocks of ``_BLOCK`` and, within a block, update a
 few preallocated rows in place, writing each result row straight into
@@ -48,16 +53,24 @@ MAX_DEGREE = 64
 _BLOCK = 16_384
 
 
+def _check_int(value, name: str, lo: int, hi: int | None = None) -> None:
+    """The package's one integer rule: ``value`` is an int or numpy
+    integer, not a bool (TypeError), in ``[lo, hi]``, unbounded above
+    when ``hi`` is None (ValueError)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < lo or (hi is not None and value > hi):
+        top = "inf)" if hi is None else f"{hi}]"
+        raise ValueError(f"{name} {value} outside supported range [{lo}, {top}")
+
+
 def _check_degree(n, name: str = "n") -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
-    if not 0 <= n <= MAX_DEGREE:
-        raise ValueError(f"{name}={n} is outside the supported range [0, {MAX_DEGREE}]")
+    _check_int(n, name, 0, MAX_DEGREE)
 
 
 def _as_finite_array(x, name: str = "x") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -94,32 +107,47 @@ def _fields(value) -> list:
     return list(vars(value).values()) if dataclasses.is_dataclass(value) else [value]
 
 
+def _finite(value, name: str):
+    """A coordinate as a finite float array; a dataclass point is passed as
+    it is, since it checks its own fields."""
+    return value if dataclasses.is_dataclass(value) else _as_finite_array(value, name)
+
+
 def _one_element(value):
-    ones = [np.reshape(v, 1) for v in _fields(value)]
+    ones = [np.asarray(v).reshape(1) for v in _fields(value)]
     return type(value)(*ones) if dataclasses.is_dataclass(value) else ones[0]
 
 
 def _scalars_as_arrays(kind: type, *coords: str):
-    """Decorator giving an array kernel the package's one scalar rule.
+    """Decorator giving an array kernel the package's coordinate rule and
+    its one scalar rule.
 
-    When every argument named in ``coords`` (by position or keyword) is a
-    scalar, 0-d arrays included, and a dataclass point counts by its
-    fields, the kernel runs on one-element arrays and returns its single
-    value as ``kind``. Numpy rounds scalar arithmetic apart from array
-    arithmetic, so this gives a point the same bits alone as in an array.
+    Each argument named in ``coords`` (by position or keyword) reaches the
+    kernel as a float array, refused with a ValueError naming it unless
+    every value is finite; a dataclass point is passed as it is, since it
+    checks its own fields. When every coordinate is a scalar, 0-d arrays
+    included, and a dataclass point counts by its fields, the kernel runs
+    on one-element arrays and returns its single value as ``kind``. Numpy
+    rounds scalar arithmetic apart from array arithmetic, so this gives a
+    point the same bits alone as in an array.
     """
 
     def decorate(kernel):
         names = list(inspect.signature(kernel).parameters)
-        slots = {names.index(name) for name in coords}
+        slots = {names.index(name): name for name in coords}
+
+        def each_coord(convert, args, kwargs):
+            args = [convert(v, slots[i]) if i in slots else v for i, v in enumerate(args)]
+            kwargs = {k: convert(v, k) if k in coords else v for k, v in kwargs.items()}
+            return args, kwargs
 
         @functools.wraps(kernel)
         def evaluate(*args, **kwargs):
+            args, kwargs = each_coord(_finite, args, kwargs)
             named = dict(zip(names, args), **kwargs)
             if any(name not in named or any(map(np.ndim, _fields(named[name]))) for name in coords):
                 return kernel(*args, **kwargs)
-            args = [_one_element(v) if i in slots else v for i, v in enumerate(args)]
-            kwargs = {k: _one_element(v) if k in coords else v for k, v in kwargs.items()}
+            args, kwargs = each_coord(lambda v, name: _one_element(v), args, kwargs)
             return kind(kernel(*args, **kwargs).item())
 
         return evaluate
@@ -143,13 +171,12 @@ def hermite_poly(n: int, x) -> float | np.ndarray:
         Evaluation points, must be finite.
     """
     _check_degree(n)
-    arr = _as_finite_array(x)
-    h_prev = np.ones_like(arr)
+    h_prev = np.ones_like(x)
     if n == 0:
         return h_prev
-    h_cur = 2.0 * arr
+    h_cur = 2.0 * x
     for k in range(1, n):
-        h_prev, h_cur = h_cur, 2.0 * arr * h_cur - 2.0 * k * h_prev
+        h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * k * h_prev
     return h_cur
 
 
@@ -206,8 +233,7 @@ def hermite_function(n: int, x) -> float | np.ndarray:
     share the recurrence and its range.
     """
     _check_degree(n)
-    arr = _as_finite_array(x)
-    return _blockwise(arr, 3, lambda x, out, work: _hermite_rows(n, x, _ending_in(out, work, n), work[2]))
+    return _blockwise(x, 3, lambda x, out, work: _hermite_rows(n, x, _ending_in(out, work, n), work[2]))
 
 
 def hermite_function_table(nmax: int, x) -> np.ndarray:
@@ -231,7 +257,6 @@ def hermite_function_derivative(n: int, x) -> float | np.ndarray:
     internally, which stays well conditioned.
     """
     _check_degree(n)
-    arr = _as_finite_array(x)
 
     def ladder(x, out, work):
         rows, tmp = work[:3], work[3]
@@ -243,7 +268,7 @@ def hermite_function_derivative(n: int, x) -> float | np.ndarray:
             np.multiply(math.sqrt((n + 1) / 2.0), rows[(n + 1) % 3], out=tmp)
             np.subtract(out, tmp, out=out)
 
-    return _blockwise(arr, 4, ladder)
+    return _blockwise(x, 4, ladder)
 
 
 @_scalars_as_arrays(float, "x")
@@ -262,11 +287,7 @@ def laguerre(n: int, alpha: int, x) -> float | np.ndarray:
     3.1e-15.
     """
     _check_degree(n)
-    if not isinstance(alpha, (int, np.integer)) or isinstance(alpha, bool):
-        raise TypeError(f"alpha must be an integer, got {type(alpha).__name__}")
-    if alpha < 0:
-        raise ValueError(f"alpha={alpha} must be non-negative")
-    arr = _as_finite_array(x)
+    _check_int(alpha, "alpha", 0)
 
     def rows(x, out, work):
         # L_k goes to slot k % 3, L_n to out; a step writes L_{k+1} over
@@ -284,4 +305,4 @@ def laguerre(n: int, alpha: int, x) -> float | np.ndarray:
             np.subtract(new, prev, out=new)
             np.divide(new, k + 1.0, out=new)
 
-    return _blockwise(arr, 2, rows)
+    return _blockwise(x, 2, rows)

@@ -92,6 +92,11 @@ SIGMA_SYMBOLS = tuple(_SIGMA_TERMS)
 _SIGMA_TAGS = {"one": "one", "x": "x", "xi": "xi", "x2+xi2": "x2_plus_xi2"}
 
 
+def _json_number(value: float) -> float | None:
+    """``value``, or None (JSON ``null``) when it is NaN or infinite."""
+    return value if math.isfinite(value) else None
+
+
 @dataclass
 class CheckResult:
     """Outcome of one named identity check.
@@ -102,7 +107,9 @@ class CheckResult:
     computation; a computation that checks of one suite share is charged
     to the first check that runs it. ``margin``, ``max_abs_err /
     tolerance``, is the share of the tolerance used: a check passes while
-    it is at most 1, so a NaN error fails.
+    it is at most 1, so a NaN error fails. :meth:`as_dict` gives a NaN or
+    infinite error and margin as None, so the JSON report holds ``null``
+    there and stays strict JSON.
     """
 
     name: str
@@ -119,9 +126,9 @@ class CheckResult:
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "max_abs_err": self.max_abs_err,
+            "max_abs_err": _json_number(self.max_abs_err),
             "tolerance": self.tolerance,
-            "margin": self.margin,
+            "margin": _json_number(self.margin),
             "passed": self.passed,
             "samples": self.samples,
             "elapsed_ms": self.elapsed_ms,
@@ -149,7 +156,7 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        return json.dumps(self.as_dict(), indent=2, allow_nan=False)
 
 
 def _timed(name: str, tol: float, fn) -> CheckResult:

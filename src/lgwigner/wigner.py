@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import hermite_function_table, laguerre
-from .specfun import _check_degree, _scalars_as_arrays  # shared validation and scalar rule
+from .specfun import _as_finite_array, _check_degree, _check_int, _scalars_as_arrays  # argument rules
 
 __all__ = [
     "QuadratureSpec",
@@ -111,10 +111,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError("half_width must be positive and finite")
-        if not isinstance(self.nodes, (int, np.integer)) or isinstance(self.nodes, bool):
-            raise TypeError("nodes must be an integer")
-        if self.nodes < 16 or self.nodes % 2 != 0:
-            raise ValueError("nodes must be even and at least 16")
+        _check_int(self.nodes, "nodes", 16)
+        if self.nodes % 2 != 0:
+            raise ValueError("nodes must be even")
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and trapezoid weights."""
@@ -204,18 +203,15 @@ class Grid2D:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name, axis in (("x_axis", self.x_axis), ("y_axis", self.y_axis)):
-            if not isinstance(axis[2], (int, np.integer)) or isinstance(axis[2], bool):
-                raise TypeError(f"{name} count must be an integer")
-        self.x_axis = (float(self.x_axis[0]), float(self.x_axis[1]), int(self.x_axis[2]))
-        self.y_axis = (float(self.y_axis[0]), float(self.y_axis[1]), int(self.y_axis[2]))
-        for name, (lo, hi, count) in (("x_axis", self.x_axis), ("y_axis", self.y_axis)):
-            if count < 2:
-                raise ValueError(f"{name} count must be at least 2")
+        for name in ("x_axis", "y_axis"):
+            lo, hi, count = getattr(self, name)
+            _check_int(count, f"{name} count", 2)
+            lo, hi = float(lo), float(hi)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"{name} bounds must be finite")
             if not lo < hi:
                 raise ValueError(f"{name} must be strictly increasing")
+            setattr(self, name, (lo, hi, int(count)))
         nx, ny = self.x_axis[2], self.y_axis[2]
         vals = np.asarray(self.values, dtype=complex)
         if vals.size != nx * ny:
@@ -241,6 +237,7 @@ class Grid2D:
 # quadrature oracles
 
 
+@_scalars_as_arrays(complex, "x", "xi")
 def wigner1d(f, g, x, xi, quad: QuadratureSpec | None = None) -> complex | np.ndarray:
     """One-dimensional Wigner transform W(f, g)(x, xi) by quadrature.
 
@@ -298,6 +295,7 @@ def wigner1d_grid(f, g, xs, xis, quad: QuadratureSpec | None = None) -> np.ndarr
     ``f = lambda t: hermite_function_table(d, t)[:, None]`` and ``g`` the
     same with ``[None, :]``, ``out[m, n]`` is W(h_m, h_n) for every pair.
     """
+    xs, xis = _as_finite_array(xs, "xs"), _as_finite_array(xis, "xis")
     return extended_wigner_grid(lambda u, v: np.conj(f(u)) * g(v), xs, xis, quad)
 
 
@@ -310,7 +308,7 @@ def extended_wigner(F, x, y, quad: QuadratureSpec | None = None) -> complex | np
     """
     quad = _check_quad(quad)
     p, w = quad.grid()
-    x, y = (a[..., None] for a in np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float)))
+    x, y = (a[..., None] for a in np.broadcast_arrays(x, y))
     vals = F((x + p) / SQRT2, (x - p) / SQRT2)
     acc = np.sum(w * np.exp(1j * p * y) * vals, axis=-1)
     return acc / np.sqrt(_TWO_PI)
@@ -324,8 +322,8 @@ def extended_wigner_grid(F, xs, ys, quad: QuadratureSpec | None = None) -> np.nd
     """
     quad = _check_quad(quad)
     p, w = quad.grid()
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    xs = np.atleast_1d(_as_finite_array(xs, "xs"))
+    ys = np.atleast_1d(_as_finite_array(ys, "ys"))
     phase = np.exp(1j * p[:, None] * ys[None, :])
 
     def integrand(rows):
@@ -473,10 +471,8 @@ def wigner_hermite_closed(j: int, k: int, x, y) -> complex | np.ndarray:
     """
     _check_degree(j, "j")
     _check_degree(k, "k")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    z = xa + 1j * ya
-    rho = xa * xa + ya * ya
+    z = x + 1j * y
+    rho = x * x + y * y
     gauss = np.exp(-0.5 * rho)
     # where the Gaussian underflows the value is 0: zero the point there
     # first, so neither the power of z nor the polynomial can overflow

@@ -288,6 +288,40 @@ def test_verify_summary_reports_a_nan_error(monkeypatch, capsys):
     assert "FAIL (2 checks, worst error nan," in capsys.readouterr().out
 
 
+def _non_finite_report(name, seed=0, budget="full"):
+    from lgwigner.verify import CheckResult, SuiteReport
+
+    good = CheckResult("a", 1e-16, 1e-6, True, 1, 0.0)
+    nan = CheckResult("b", float("nan"), 1e-6, False, 1, 0.0)
+    inf = CheckResult("c", float("inf"), 1e-6, False, 1, 0.0)
+    return SuiteReport(suite=name, checks=[good, nan, inf], passed=False, seed=seed)
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_report_json_writes_non_finite_errors_as_null():
+    parsed = _strict_json(_non_finite_report("beam").to_json())
+    assert parsed["passed"] is False
+    checks = parsed["checks"]
+    assert [c["max_abs_err"] for c in checks] == [1e-16, None, None]
+    assert [c["margin"] for c in checks][1:] == [None, None]
+    assert [c["passed"] for c in checks] == [True, False, False]
+
+
+def test_verify_out_file_is_strict_json_with_a_nan_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "run_suite", _non_finite_report)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "beam", "--out", str(out)]) == 1
+    parsed = _strict_json(out.read_text())
+    assert parsed["passed"] is False
+    assert [c["max_abs_err"] for c in parsed["checks"]] == [1e-16, None, None]
+
+
 def test_usage_errors_exit_2(tmp_path):
     out = tmp_path / "x.csv"
     # inverted bounds
@@ -341,7 +375,7 @@ def test_internal_value_error_exits_4(monkeypatch, tmp_path, capsys):
         (["wigner", "lg_diag", "--indices", "0", "0", "--xi1", "nan"], "xi1 must be finite"),
         (["beam", "--index", "0", "0", "--w0", "1", "--k", "2", "--z", "nan"], "z must be finite"),
         (["beam", "--index", "0", "0", "--w0", "-1", "--k", "2"], "w0 must be positive and finite"),
-        (["beam", "--index", "0", "65", "--w0", "1", "--k", "2"], "|ell|=65 exceeds 64"),
+        (["beam", "--index", "0", "65", "--w0", "1", "--k", "2"], "ell 65 outside supported range [-64, 64]"),
         (["verify", "beam", "--seed", "-1"], "seed must be non-negative"),
         # finite, but past the coordinate and Rayleigh-range domain
         (["modes", "lg", "--index", "0", "0", "--xmin=-1e200", "--xmax", "1e200"], "xmin must lie in"),

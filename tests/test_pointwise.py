@@ -12,7 +12,9 @@ from lgwigner.wigner import (
     PhasePoint4,
     QuadratureSpec,
     extended_wigner,
+    extended_wigner_grid,
     wigner1d,
+    wigner1d_grid,
     wigner_hermite_closed,
     wigner_hg_closed,
     wigner_hg_diag,
@@ -133,3 +135,45 @@ def test_values_past_the_gaussian_underflow_are_positive_zero(evaluate):
     values = np.asarray(evaluate(_FAR), dtype=complex)
     assert np.array_equal(values, np.zeros(_FAR.shape))
     assert not np.signbit(values.real).any() and not np.signbit(values.imag).any()
+
+
+def _coordinate_names(name):
+    """The names under which each coordinate of a ``CASES`` evaluator is
+    passed: a ``PhasePoint4`` refuses a field under the field's name."""
+    if name.startswith("beam_field"):
+        return ("r", "phi")
+    if name == "wigner1d":
+        return ("x", "xi")
+    if name == "wigner_lg_diag-slice":
+        return ("x1", "x2")
+    return {1: ("x",), 2: ("x", "y"), 4: ("x1", "x2", "xi1", "xi2")}[CASES[name][0]]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_every_evaluator_refuses_a_non_finite_coordinate_by_name(name):
+    _, _, evaluate = CASES[name]
+    coords = _coordinate_names(name)
+    for slot, coord in enumerate(coords):
+        for bad in (np.nan, np.inf, -np.inf):
+            for shape in ((), (3,)):
+                point = [np.full(shape, 0.3) for _ in coords]
+                point[slot] = np.full(shape, bad) if not shape else np.array([0.3, bad, -0.2])
+                with pytest.raises(ValueError, match=rf"^{coord} must be finite$"):
+                    evaluate(*point)
+
+
+@pytest.mark.parametrize(
+    "oracle, names",
+    [
+        (lambda a, b: wigner1d_grid(_h(1), _h(2), a, b, _QUAD), ("xs", "xis")),
+        (lambda a, b: extended_wigner_grid(lambda u, v: _h(1)(u) * _h(2)(v), a, b, _QUAD), ("xs", "ys")),
+    ],
+    ids=["wigner1d_grid", "extended_wigner_grid"],
+)
+def test_grid_oracles_refuse_a_non_finite_axis_by_name(oracle, names):
+    for slot, axis in enumerate(names):
+        for bad in (np.nan, np.inf, -np.inf):
+            axes = [np.array([0.0, 0.5]), np.array([-1.0, 1.0])]
+            axes[slot] = np.array([0.0, bad])
+            with pytest.raises(ValueError, match=rf"^{axis} must be finite$"):
+                oracle(*axes)
