@@ -226,10 +226,12 @@ class _HGField:
     def __call__(self, x, y):
         return hg_mode(self.index, x, y)
 
+    @_scalars_as_arrays(float, "x", "y")
     def partial_x(self, x, y):
         j, k = self.index.first, self.index.second
         return hermite_function_derivative(j, x) * hermite_function(k, y)
 
+    @_scalars_as_arrays(float, "x", "y")
     def partial_y(self, x, y):
         j, k = self.index.first, self.index.second
         return hermite_function(j, x) * hermite_function_derivative(k, y)
@@ -254,16 +256,14 @@ class _LGField:
         conjugated = self.index.first < self.index.second
         lo, hi = sorted((self.index.first, self.index.second))
         alpha = hi - lo
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        rho = xa * xa + ya * ya
+        z = x + 1j * y
+        rho = x * x + y * y
         gauss = np.exp(-0.5 * rho)
-        # zero the point where the Gaussian underflows, as lg_mode does, but
-        # not in place: called directly, the partials may get scalars
+        # zero the point where the Gaussian underflows, as lg_mode does (in
+        # place: z, rho and both derivatives are new arrays of its shape)
         dead = gauss == 0
-        z = np.where(dead, 0, xa + 1j * ya)
+        z[dead] = rho[dead] = 0
         zbar = np.conj(z)
-        rho = np.where(dead, 0.0, rho)
         power_base, other = (zbar, z) if conjugated else (z, zbar)
         amp = _inv_sqrt_factorial_ratio(lo, hi) * (-1.0) ** lo
         coeff = amp / np.sqrt(np.pi) * gauss
@@ -276,13 +276,15 @@ class _LGField:
             + pw * other * (dlag - 0.5 * lag)
         )
         d_other = coeff * pw * power_base * (dlag - 0.5 * lag)
-        d_power, d_other = np.where(dead, 0, d_power), np.where(dead, 0, d_other)
+        d_power[dead] = d_other[dead] = 0
         return (d_other, d_power) if conjugated else (d_power, d_other)  # (d/dz, d/dzbar)
 
+    @_scalars_as_arrays(complex, "x", "y")
     def partial_x(self, x, y):
         dz, dzbar = self._wirtinger(x, y)
         return dz + dzbar
 
+    @_scalars_as_arrays(complex, "x", "y")
     def partial_y(self, x, y):
         dz, dzbar = self._wirtinger(x, y)
         return 1j * (dz - dzbar)

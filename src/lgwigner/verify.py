@@ -3,14 +3,18 @@ into named suites with per-check tolerances and machine-readable reports.
 
 Each suite draws its sample points from a seeded generator, so a report
 is reproducible from ``(suite, seed)``. There is one budget, ``full``:
-each suite runs at one size, its documented limits. Tolerances are
-fixed per check from the quadrature error budget: 1e-10 to 1e-12 where
-only closed forms and spectrally accurate quadrature meet, loosened to
-1e-6 where the sampled rotate-plus-FFT grid or the two-dimensional
-oracle enter. The intertwining checks take their partials under the
-integral, so no check here differences numerically; they keep a 1e-6
-gate, and their accuracy shows as margin. Every check returns the array
-of deviations it compared, and :func:`_timed` alone reduces them to a
+each suite runs at one size, its documented limits. Every check is
+declared once, in the table ``_SUITES`` at the end of the module: its
+suite, its name, its position in the suite and its tolerance. The
+tolerances are fixed per check from the quadrature error budget: 1e-10
+to 1e-12 where only closed forms and spectrally accurate quadrature
+meet, loosened to 1e-6 where the sampled rotate-plus-FFT grid or the
+two-dimensional oracle enter. The intertwining checks take their
+partials under the integral, so no check here differences numerically;
+they keep a 1e-6 gate, and their accuracy shows as margin. A suite
+returns its check bodies in table order, and :func:`run_suite` alone
+names and times them. Every body returns the array of deviations it
+compared, and :func:`_timed` alone reduces them to a
 :class:`CheckResult`, so a NaN deviation always fails its check.
 
 Every integral in this module, inner and outer, is a trapezoid sum on a
@@ -47,7 +51,7 @@ from .modes import (
     lg_field,
     lg_mode,
 )
-from .specfun import hermite_function_derivative, hermite_function_table
+from .specfun import _check_int, hermite_function_derivative, hermite_function_table
 from .wigner import (
     Grid2D,
     PhasePoint4,
@@ -89,7 +93,11 @@ _SIGMA_TERMS = {
 #: Symbols accepted by :func:`weyl_pairing_check`.
 SIGMA_SYMBOLS = tuple(_SIGMA_TERMS)
 
-_SIGMA_TAGS = {"one": "one", "x": "x", "xi": "xi", "x2+xi2": "x2_plus_xi2"}
+
+def _weyl_name(sigma: str) -> str:
+    """The check name of symbol ``sigma``: ``"x2+xi2"`` gives
+    ``"weyl_pairing_x2_plus_xi2"``."""
+    return "weyl_pairing_" + sigma.replace("+", "_plus_")
 
 
 def _json_number(value: float) -> float | None:
@@ -285,13 +293,12 @@ def _random_coeffs(rng, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each returns its check bodies in the order of its row in _SUITES
 
 
-def _suite_properties(seed: int) -> list[CheckResult]:
+def _suite_properties(seed: int) -> tuple:
     rng = np.random.default_rng([seed, 1])
     deg = 8
-    checks = []
 
     def hermiticity():
         npairs, npts = 3, 50
@@ -307,8 +314,6 @@ def _suite_properties(seed: int) -> list[CheckResult]:
         quad = _sized(2 * deg, xi)
         return wigner1d(f, g, x, xi, quad) - np.conj(wigner1d(g, f, x, xi, quad))
 
-    checks.append(_timed("hermiticity", 1e-12, hermiticity))
-
     # W(h_m, h_n) is itself a Hermite expansion of degree m + n along
     # each axis, so the outer integrals take the same rule
     outer = QuadratureSpec.for_degree(2 * deg)
@@ -321,8 +326,6 @@ def _suite_properties(seed: int) -> list[CheckResult]:
         h = hermite_function_table(deg, xs / SQRT2)
         return lhs - np.sqrt(2 * np.pi) * h[:, None] * h[None, :]
 
-    checks.append(_timed("xi_marginal", 1e-8, xi_marginal))
-
     def x_marginal():
         xis = rng.uniform(-2.0, 2.0, size=4)
         m, n = _all_pairs(deg)
@@ -333,19 +336,16 @@ def _suite_properties(seed: int) -> list[CheckResult]:
         h = hermite_function_table(deg, xis / SQRT2)
         return lhs - np.sqrt(2 * np.pi) * phase[..., None] * h[:, None] * h[None, :]
 
-    checks.append(_timed("x_marginal", 1e-8, x_marginal))
-
     def total_integral():
         m, n = _all_pairs(deg)
         grids = wigner1d_grid(_h_stack(m), _h_stack(n), p_axis, p_axis, _sized(2 * deg, p_axis))
         totals = np.einsum("i,mnij,j->mn", p_w, grids, p_w)
         return totals - 2.0 * np.sqrt(np.pi) * np.eye(deg + 1)
 
-    checks.append(_timed("total_integral", 1e-7, total_integral))
-    return checks
+    return hermiticity, xi_marginal, x_marginal, total_integral
 
 
-def _suite_moyal(seed: int) -> list[CheckResult]:
+def _suite_moyal(seed: int) -> tuple:
     deg = 5
 
     def moyal():
@@ -358,19 +358,15 @@ def _suite_moyal(seed: int) -> list[CheckResult]:
         gram = _gram(grids, np.outer(w, w))
         return gram - np.eye(len(gram))
 
-    return [_timed("moyal_kronecker", 1e-8, moyal)]
+    return (moyal,)
 
 
-def _suite_orthogonality(seed: int) -> list[CheckResult]:
-    checks = []
-
+def _suite_orthogonality(seed: int) -> tuple:
     def hermite_orthonormality():
         nmax = 12
         p, w = _product_spec(nmax).grid()
         gram = _gram(hermite_function_table(nmax, p), w)
         return gram - np.eye(nmax + 1)
-
-    checks.append(_timed("hermite_orthonormality", 1e-10, hermite_orthonormality))
 
     def lg_orthonormality():
         cap = 4
@@ -379,15 +375,15 @@ def _suite_orthogonality(seed: int) -> list[CheckResult]:
         gram = _gram(_lg_stack(cap, axis[:, None], axis[None, :]), np.outer(w, w))
         return gram - np.eye(len(gram))
 
-    checks.append(_timed("lg_mode_orthonormality", 1e-8, lg_orthonormality))
-    return checks
+    return hermite_orthonormality, lg_orthonormality
 
 
+#: The (circular, Cartesian) operator pairs whose intertwining is checked.
 _INTERTWINE_PAIRS = (
-    ("intertwine_Aplusdag_a1dag", LadderOp.APLUSDAG, LadderOp.A1DAG),
-    ("intertwine_Aminusdag_a2dag", LadderOp.AMINUSDAG, LadderOp.A2DAG),
-    ("intertwine_Aplus_a1", LadderOp.APLUS, LadderOp.A1),
-    ("intertwine_Aminus_a2", LadderOp.AMINUS, LadderOp.A2),
+    (LadderOp.APLUSDAG, LadderOp.A1DAG),
+    (LadderOp.AMINUSDAG, LadderOp.A2DAG),
+    (LadderOp.APLUS, LadderOp.A1),
+    (LadderOp.AMINUS, LadderOp.A2),
 )
 
 
@@ -416,36 +412,32 @@ def _transformed_hg(cap: int, ys):
     return field
 
 
-def _suite_intertwine(seed: int) -> list[CheckResult]:
+def _suite_intertwine(seed: int) -> tuple:
     cap, npts = 4, 50
-    checks = []
-    for tag, (name, circ_op, cart_op) in enumerate(_INTERTWINE_PAIRS):
 
-        def one_pair(circ_op=circ_op, cart_op=cart_op, tag=tag):
-            rng = np.random.default_rng([seed, 4, tag])
-            xs, ys = rng.uniform(-2.0, 2.0, size=(npts, 2)).T
-            lhs = apply_operator_pointwise(circ_op, _transformed_hg(cap, ys), xs, ys)
-            # index-space action on every HG(j, k); an annihilated mode
-            # keeps coefficient 0 and any valid target
-            coeff = np.zeros((cap + 1, cap + 1))
-            tj, tk = np.zeros_like(coeff, dtype=int), np.zeros_like(coeff, dtype=int)
-            for a in range(cap + 1):
-                for b in range(cap + 1):
-                    c, target = ladder_index_action(cart_op, ModeIndex.hg(a, b))
-                    if target is not ANNIHILATED:
-                        coeff[a, b], tj[a, b], tk[a, b] = c, target.first, target.second
-            rhs_quad = _sized((tj + tk).max(), ys)
-            return lhs - coeff[..., None] * extended_wigner(_hg_stack(tj, tk), xs, ys, rhs_quad)
+    def one_pair(tag, circ_op, cart_op):
+        rng = np.random.default_rng([seed, 4, tag])
+        xs, ys = rng.uniform(-2.0, 2.0, size=(npts, 2)).T
+        lhs = apply_operator_pointwise(circ_op, _transformed_hg(cap, ys), xs, ys)
+        # index-space action on every HG(j, k); an annihilated mode
+        # keeps coefficient 0 and any valid target
+        coeff = np.zeros((cap + 1, cap + 1))
+        tj, tk = np.zeros_like(coeff, dtype=int), np.zeros_like(coeff, dtype=int)
+        for a in range(cap + 1):
+            for b in range(cap + 1):
+                c, target = ladder_index_action(cart_op, ModeIndex.hg(a, b))
+                if target is not ANNIHILATED:
+                    coeff[a, b], tj[a, b], tk[a, b] = c, target.first, target.second
+        rhs_quad = _sized((tj + tk).max(), ys)
+        return lhs - coeff[..., None] * extended_wigner(_hg_stack(tj, tk), xs, ys, rhs_quad)
 
-        checks.append(_timed(name, 1e-6, one_pair))
-    return checks
+    return tuple(functools.partial(one_pair, tag, *ops) for tag, ops in enumerate(_INTERTWINE_PAIRS))
 
 
-def _suite_closedforms(seed: int) -> list[CheckResult]:
+def _suite_closedforms(seed: int) -> tuple:
     cap = 8
     xs = np.linspace(-4.0, 4.0, 21)
     mesh_x, mesh_y = xs[:, None], xs[None, :]
-    checks = []
     # shared by the first two checks, and charged to the first
     hermite_closed = functools.cache(
         lambda: _pair_stack(lambda j, k: wigner_hermite_closed(j, k, mesh_x, mesh_y), cap)
@@ -455,12 +447,8 @@ def _suite_closedforms(seed: int) -> list[CheckResult]:
         m, n = _all_pairs(cap)
         return wigner1d_grid(_h_stack(m), _h_stack(n), xs, xs, _sized(2 * cap, xs)) - hermite_closed()
 
-    checks.append(_timed("hermite_closed_vs_quadrature", 1e-8, closed_vs_quadrature))
-
     def lg_equals_closed():
         return _lg_stack(cap, mesh_x, mesh_y) - hermite_closed()
-
-    checks.append(_timed("lg_mode_equals_hermite_closed", 1e-12, lg_equals_closed))
 
     def hg_to_lg():
         cap2 = 6
@@ -469,17 +457,14 @@ def _suite_closedforms(seed: int) -> list[CheckResult]:
         transformed = extended_wigner_grid(_hg_stack(*_all_pairs(cap2)), sample, sample, quad)
         return transformed - _lg_stack(cap2, sample[:, None], sample[None, :])
 
-    checks.append(_timed("extended_wigner_maps_hg_to_lg", 1e-9, hg_to_lg))
-
     def fixed_point():
         transformed = extended_wigner_grid(_hg_stack(0, 0), xs, xs, _sized(0, xs))
         return transformed - hg_mode(ModeIndex.hg(0, 0), mesh_x, mesh_y)
 
-    checks.append(_timed("fixed_point_quadrature", 1e-10, fixed_point))
-    return checks
+    return closed_vs_quadrature, lg_equals_closed, hg_to_lg, fixed_point
 
 
-def _suite_product_theorem(seed: int) -> list[CheckResult]:
+def _suite_product_theorem(seed: int) -> tuple:
     rng = np.random.default_rng([seed, 6])
 
     def product(count, field, closed, degree):
@@ -507,15 +492,15 @@ def _suite_product_theorem(seed: int) -> list[CheckResult]:
 
     lg = (lambda j, k: lg_field(ModeIndex.lg(j, k)), wigner_lg_closed, lambda *q: sum(q))
     hg = (_hg_stack, wigner_hg_closed, lambda j, k, m, n: max(j + m, k + n))
-    return [
-        _timed("lg_product_vs_quadrature2d", 1e-6, lambda: product(32, *lg)),
-        _timed("hg_product_vs_quadrature2d", 1e-6, lambda: product(8, *hg)),
-        _timed("lg_diag_consistency", 1e-12, lambda: diagonal(wigner_lg_closed, wigner_lg_diag)),
-        _timed("hg_diag_consistency", 1e-12, lambda: diagonal(wigner_hg_closed, wigner_hg_diag)),
-    ]
+    return (
+        lambda: product(32, *lg),
+        lambda: product(8, *hg),
+        lambda: diagonal(wigner_lg_closed, wigner_lg_diag),
+        lambda: diagonal(wigner_hg_closed, wigner_hg_diag),
+    )
 
 
-def _suite_polarization(seed: int) -> list[CheckResult]:
+def _suite_polarization(seed: int) -> tuple:
     rng = np.random.default_rng([seed, 7])
     cap, npts = 4, 20
 
@@ -533,12 +518,11 @@ def _suite_polarization(seed: int) -> list[CheckResult]:
         total = np.array([0.25, -0.25, 0.25j, -0.25j]) @ wigner1d(combos, combos, xs, ys, quad)
         return total - _lg_stack(cap, xs, ys)[n_plus, n_minus, points]
 
-    return [_timed("polarization_identity", 1e-8, polarization)]
+    return (polarization,)
 
 
-def _suite_unitarity(seed: int) -> list[CheckResult]:
+def _suite_unitarity(seed: int) -> tuple:
     rng = np.random.default_rng([seed, 8])
-    checks = []
 
     def inner_products():
         nfuncs, deg = 10, 5
@@ -553,16 +537,11 @@ def _suite_unitarity(seed: int) -> list[CheckResult]:
         ip_out = _gram(extended_wigner_grid(f, axis, axis, _sized(2 * deg, axis)), w2)
         return ip_in - ip_out
 
-    checks.append(_timed("wtilde_inner_products", 1e-6, inner_products))
-
     def rotfft_hg_to_lg(j, k):
         grid = Grid2D.sample(_hg_stack(j, k), (-8.0, 8.0, 256), (-8.0, 8.0, 256))
         out = extended_wigner_rotfft(grid)
         ref = lg_mode(ModeIndex.lg(j, k), out.x_nodes()[:, None], out.y_nodes()[None, :])
         return out.values - ref
-
-    checks.append(_timed("rotfft_fixed_point", 1e-6, lambda: rotfft_hg_to_lg(0, 0)))
-    checks.append(_timed("rotfft_maps_hg_to_lg", 1e-5, lambda: rotfft_hg_to_lg(1, 0)))
 
     def rotfft_parseval():
         f = _superposition_2d(_random_coeffs(rng, (4, 4)))
@@ -576,8 +555,7 @@ def _suite_unitarity(seed: int) -> list[CheckResult]:
 
         return norm(grid) - norm(out)
 
-    checks.append(_timed("rotfft_parseval", 1e-6, rotfft_parseval))
-    return checks
+    return inner_products, lambda: rotfft_hg_to_lg(0, 0), lambda: rotfft_hg_to_lg(1, 0), rotfft_parseval
 
 
 # ---------------------------------------------------------------------------
@@ -660,31 +638,28 @@ def weyl_pairing_check(sigma: str, f: int, g: int) -> CheckResult:
     ``sigma`` against the Wigner transform of the mode pair. For
     ``sigma="one"`` both sides must also reproduce the Kronecker delta of
     the degrees, since quantizing the constant symbol gives the identity.
-    The kernel and the oracle use the spec sized from the two degrees.
+    The kernel and the oracle use the spec sized from the two degrees,
+    and the tolerance is the weyl suite's for ``sigma``.
     """
     if sigma not in SIGMA_SYMBOLS:
         raise ValueError(f"unsupported symbol {sigma!r}; expected one of {SIGMA_SYMBOLS}")
+    name = _weyl_name(sigma)
+    return _timed(f"{name}_f{f}_g{g}", _SUITES["weyl"][1][name], lambda: _weyl_errors([(f, g)])[sigma])
 
-    return _timed(f"weyl_pairing_{_SIGMA_TAGS[sigma]}_f{f}_g{g}", 1e-6, lambda: _weyl_errors([(f, g)])[sigma])
 
-
-def _suite_weyl(seed: int) -> list[CheckResult]:
+def _suite_weyl(seed: int) -> tuple:
     cap = 4
     pairs = [(f, g) for f in range(cap + 1) for g in range(cap + 1)]
     # the four checks share this one computation, charged to the first
     errors = functools.cache(lambda: _weyl_errors(pairs))
-    return [
-        _timed(f"weyl_pairing_{_SIGMA_TAGS[sigma]}", 1e-6, lambda sigma=sigma: errors()[sigma])
-        for sigma in SIGMA_SYMBOLS
-    ]
+    return tuple(lambda sigma=sigma: errors()[sigma] for sigma in SIGMA_SYMBOLS)
 
 
 _BEAM_CASES = ((0, 0), (1, 2), (2, -1), (0, 3), (2, 0))
 
 
-def _suite_beam(seed: int) -> list[CheckResult]:
+def _suite_beam(seed: int) -> tuple:
     params = _beam.BeamParams(w0=1.3, k=9.0)
-    checks = []
 
     def waist_plane():
         axis = np.linspace(-4.0 * params.w0, 4.0 * params.w0, 81)
@@ -705,15 +680,11 @@ def _suite_beam(seed: int) -> list[CheckResult]:
             spreads.append(np.std(ratio))
         return np.array(spreads)
 
-    checks.append(_timed("waist_plane_matches_lg", 1e-8, waist_plane))
-
     def gouy():
         zr = params.zR
         plus = _beam.beam_geometry(params, zr).gouy - np.pi / 4
         minus = _beam.beam_geometry(params, -zr).gouy + np.pi / 4
         return np.array([plus, minus])
-
-    checks.append(_timed("gouy_at_rayleigh", 1e-12, gouy))
 
     def norm_constant():
         dev = []
@@ -732,83 +703,96 @@ def _suite_beam(seed: int) -> list[CheckResult]:
                 dev.append(total - 1.0)
         return np.array(dev)
 
-    checks.append(_timed("transverse_norm_constant", 1e-8, norm_constant))
-    return checks
+    return waist_plane, gouy, norm_constant
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
+#: Every check, declared once: per suite, its function and its checks in
+#: order, each with its tolerance. A suite returns one body per check, in
+#: this order, and run_suite binds each body to its name and tolerance.
 _SUITES = {
-    "properties": _suite_properties,
-    "moyal": _suite_moyal,
-    "orthogonality": _suite_orthogonality,
-    "intertwine": _suite_intertwine,
-    "closedforms": _suite_closedforms,
-    "product_theorem": _suite_product_theorem,
-    "polarization": _suite_polarization,
-    "unitarity": _suite_unitarity,
-    "weyl": _suite_weyl,
-    "beam": _suite_beam,
+    "properties": (
+        _suite_properties,
+        {"hermiticity": 1e-12, "xi_marginal": 1e-8, "x_marginal": 1e-8, "total_integral": 1e-7},
+    ),
+    "moyal": (_suite_moyal, {"moyal_kronecker": 1e-8}),
+    "orthogonality": (
+        _suite_orthogonality,
+        {"hermite_orthonormality": 1e-10, "lg_mode_orthonormality": 1e-8},
+    ),
+    "intertwine": (
+        _suite_intertwine,
+        {f"intertwine_{circ.value}_{cart.value}": 1e-6 for circ, cart in _INTERTWINE_PAIRS},
+    ),
+    "closedforms": (
+        _suite_closedforms,
+        {
+            "hermite_closed_vs_quadrature": 1e-8,
+            "lg_mode_equals_hermite_closed": 1e-12,
+            "extended_wigner_maps_hg_to_lg": 1e-9,
+            "fixed_point_quadrature": 1e-10,
+        },
+    ),
+    "product_theorem": (
+        _suite_product_theorem,
+        {
+            "lg_product_vs_quadrature2d": 1e-6,
+            "hg_product_vs_quadrature2d": 1e-6,
+            "lg_diag_consistency": 1e-12,
+            "hg_diag_consistency": 1e-12,
+        },
+    ),
+    "polarization": (_suite_polarization, {"polarization_identity": 1e-8}),
+    "unitarity": (
+        _suite_unitarity,
+        {
+            "wtilde_inner_products": 1e-6,
+            "rotfft_fixed_point": 1e-6,
+            "rotfft_maps_hg_to_lg": 1e-5,
+            "rotfft_parseval": 1e-6,
+        },
+    ),
+    "weyl": (_suite_weyl, {_weyl_name(sigma): 1e-6 for sigma in SIGMA_SYMBOLS}),
+    "beam": (
+        _suite_beam,
+        {"waist_plane_matches_lg": 1e-8, "gouy_at_rayleigh": 1e-12, "transverse_norm_constant": 1e-8},
+    ),
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
-#: Static declaration of the checks each suite emits; enforced at run
-#: time and pinned again by the test manifest.
-SUITE_CHECKS = {
-    "properties": ("hermiticity", "xi_marginal", "x_marginal", "total_integral"),
-    "moyal": ("moyal_kronecker",),
-    "orthogonality": ("hermite_orthonormality", "lg_mode_orthonormality"),
-    "intertwine": tuple(name for name, _, _ in _INTERTWINE_PAIRS),
-    "closedforms": (
-        "hermite_closed_vs_quadrature",
-        "lg_mode_equals_hermite_closed",
-        "extended_wigner_maps_hg_to_lg",
-        "fixed_point_quadrature",
-    ),
-    "product_theorem": (
-        "lg_product_vs_quadrature2d",
-        "hg_product_vs_quadrature2d",
-        "lg_diag_consistency",
-        "hg_diag_consistency",
-    ),
-    "polarization": ("polarization_identity",),
-    "unitarity": (
-        "wtilde_inner_products",
-        "rotfft_fixed_point",
-        "rotfft_maps_hg_to_lg",
-        "rotfft_parseval",
-    ),
-    "weyl": tuple(f"weyl_pairing_{_SIGMA_TAGS[s]}" for s in SIGMA_SYMBOLS),
-    "beam": ("waist_plane_matches_lg", "gouy_at_rayleigh", "transverse_norm_constant"),
-}
+#: The checks each suite emits, in order, read from ``_SUITES`` (where
+#: their tolerances live); pinned again by the test manifest.
+SUITE_CHECKS = {suite: tuple(checks) for suite, (_, checks) in _SUITES.items()}
 
 
 def run_suite(name: str, seed: int = 0, budget: str = "full") -> SuiteReport:
     """Run one verification suite (or ``"all"``) and return its report.
 
     Deterministic given ``(name, seed)``: the same call reproduces the
-    same sample points and therefore the same errors. ``budget`` accepts
-    only the one budget, ``"full"``.
+    same sample points and therefore the same errors. ``seed`` is a
+    non-negative integer, and ``budget`` accepts only the one budget,
+    ``"full"``.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite name {name!r}; expected one of {SUITE_NAMES}")
+    _check_int(seed, "seed", 0)
     if budget != "full":
         raise ValueError(f"unknown budget {budget!r}; the one budget is 'full'")
     targets = tuple(_SUITES) if name == "all" else (name,)
     checks: list[CheckResult] = []
     for target in targets:
-        produced = _SUITES[target](seed)
-        got = tuple(c.name for c in produced)
-        if got != SUITE_CHECKS[target]:
-            raise RuntimeError(f"suite {target} produced unexpected checks {got}")
-        checks.extend(produced)
+        suite, tolerances = _SUITES[target]
+        # the bodies run in table order; a wrong count raises
+        for (check, tol), body in zip(tolerances.items(), suite(seed), strict=True):
+            checks.append(_timed(check, tol, body))
     return SuiteReport(
         suite=name,
         checks=checks,
         passed=all(c.passed for c in checks),
-        seed=seed,
+        seed=int(seed),
         budget=budget,
     )

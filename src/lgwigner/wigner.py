@@ -188,6 +188,19 @@ class PhasePoint4:
         return 0.5 * (self.x1**2 - self.x2**2 + self.xi1**2 - self.xi2**2)
 
 
+def _axis(axis, name: str) -> tuple[float, float, int]:
+    """``axis`` as ``(float, float, int)`` under the grid rule: an integer
+    count of at least 2 and finite, strictly increasing bounds."""
+    lo, hi, count = axis
+    _check_int(count, f"{name} count", 2)
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} bounds must be finite")
+    if not lo < hi:
+        raise ValueError(f"{name} must be strictly increasing")
+    return lo, hi, int(count)
+
+
 @dataclass
 class Grid2D:
     """Rectangular complex samples with axis metadata.
@@ -203,15 +216,7 @@ class Grid2D:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("x_axis", "y_axis"):
-            lo, hi, count = getattr(self, name)
-            _check_int(count, f"{name} count", 2)
-            lo, hi = float(lo), float(hi)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{name} bounds must be finite")
-            if not lo < hi:
-                raise ValueError(f"{name} must be strictly increasing")
-            setattr(self, name, (lo, hi, int(count)))
+        self.x_axis, self.y_axis = _axis(self.x_axis, "x_axis"), _axis(self.y_axis, "y_axis")
         nx, ny = self.x_axis[2], self.y_axis[2]
         vals = np.asarray(self.values, dtype=complex)
         if vals.size != nx * ny:
@@ -226,11 +231,12 @@ class Grid2D:
 
     @classmethod
     def sample(cls, func, x_axis, y_axis) -> "Grid2D":
-        """Sample ``func(x, y)`` on the tensor grid of the two axes."""
-        x = np.linspace(x_axis[0], x_axis[1], x_axis[2])
-        y = np.linspace(y_axis[0], y_axis[1], y_axis[2])
+        """Sample ``func(x, y)`` on the tensor grid of the two axes, which
+        are checked by the grid rule before ``func`` is called."""
+        x_axis, y_axis = _axis(x_axis, "x_axis"), _axis(y_axis, "y_axis")
+        x, y = np.linspace(*x_axis), np.linspace(*y_axis)
         vals = np.asarray(func(x[:, None], y[None, :]), dtype=complex)
-        return cls(tuple(x_axis), tuple(y_axis), np.broadcast_to(vals, (len(x), len(y))).copy())
+        return cls(x_axis, y_axis, np.broadcast_to(vals, (len(x), len(y))).copy())
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,14 @@ CASES = {
         for index in [(2, -3), (1, 2)]
     },
     **{f"{op.value}-{mode}": _op_case(op, mode) for op in LadderOp for mode in ("analytic", "finite_difference")},
+    **{
+        f"{basis}_field.{partial}": (2, kind, lambda x, y, fld=fld, partial=partial: getattr(fld, partial)(x, y))
+        for basis, kind, fld in [
+            ("hg", float, hg_field(ModeIndex.hg(2, 1))),
+            ("lg", complex, lg_field(ModeIndex.lg(2, 1))),
+        ]
+        for partial in ("partial_x", "partial_y")
+    },
     "extended_wigner": (2, complex, lambda x, y: extended_wigner(lambda u, v: _h(2)(u) * _h(1)(v), x, y, _QUAD)),
     "wigner1d": (2, complex, lambda x, xi: wigner1d(_h(3), _h(1), x, xi, _QUAD)),
     "wigner_hermite_closed": (2, complex, lambda x, y: wigner_hermite_closed(4, 2, x, y)),

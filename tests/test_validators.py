@@ -163,6 +163,29 @@ def test_grid_rejects_nan_bounds(slot):
         Grid2D((bounds[0], bounds[1], 2), (bounds[2], bounds[3], 2), np.zeros(4))
 
 
+def _unreachable_field(x, y):
+    raise AssertionError("the field was called")
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ((-math.inf, math.inf, 4), ValueError, "bounds must be finite"),
+        ((0.0, math.nan, 4), ValueError, "bounds must be finite"),
+        ((1.0, -1.0, 4), ValueError, "must be strictly increasing"),
+        ((-1.0, 1.0, 4.0), TypeError, "count must be an integer, got float"),
+        ((-1.0, 1.0, 1), ValueError, r"count 1 outside supported range \[2, inf\)"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_grid_sample_checks_its_axes_before_it_samples(axis, bad, error, message):
+    good = (-1.0, 1.0, 4)
+    axes = (bad, good) if axis == "x" else (good, bad)
+    with pytest.raises(error, match=rf"^{axis}_axis {message}$"):
+        Grid2D.sample(_unreachable_field, *axes)
+
+
 # the CLI's documented coordinate limit and its neighbours
 _LIMIT = 1e150
 coordinates = st.one_of(

@@ -64,6 +64,43 @@ MANIFEST = {
     "beam": ("waist_plane_matches_lg", "gouy_at_rayleigh", "transverse_norm_constant"),
 }
 
+# Each check's tolerance and sample count, pinned apart from the engine:
+# a loosened gate or a shrunken sample shows here. The counts are the
+# same at every seed.
+GATES = {
+    "hermiticity": (1e-12, 150),
+    "xi_marginal": (1e-8, 324),
+    "x_marginal": (1e-8, 324),
+    "total_integral": (1e-7, 81),
+    "moyal_kronecker": (1e-8, 1296),
+    "hermite_orthonormality": (1e-10, 169),
+    "lg_mode_orthonormality": (1e-8, 625),
+    "intertwine_Aplusdag_a1dag": (1e-6, 1250),
+    "intertwine_Aminusdag_a2dag": (1e-6, 1250),
+    "intertwine_Aplus_a1": (1e-6, 1250),
+    "intertwine_Aminus_a2": (1e-6, 1250),
+    "hermite_closed_vs_quadrature": (1e-8, 35721),
+    "lg_mode_equals_hermite_closed": (1e-12, 35721),
+    "extended_wigner_maps_hg_to_lg": (1e-9, 5929),
+    "fixed_point_quadrature": (1e-10, 441),
+    "lg_product_vs_quadrature2d": (1e-6, 32),
+    "hg_product_vs_quadrature2d": (1e-6, 8),
+    "lg_diag_consistency": (1e-12, 100),
+    "hg_diag_consistency": (1e-12, 100),
+    "polarization_identity": (1e-8, 20),
+    "wtilde_inner_products": (1e-6, 100),
+    "rotfft_fixed_point": (1e-6, 65536),
+    "rotfft_maps_hg_to_lg": (1e-5, 65536),
+    "rotfft_parseval": (1e-6, 1),
+    "weyl_pairing_one": (1e-6, 25),
+    "weyl_pairing_x": (1e-6, 25),
+    "weyl_pairing_xi": (1e-6, 25),
+    "weyl_pairing_x2_plus_xi2": (1e-6, 25),
+    "waist_plane_matches_lg": (1e-8, 5),
+    "gouy_at_rayleigh": (1e-12, 2),
+    "transverse_norm_constant": (1e-8, 15),
+}
+
 
 def test_registry_matches_manifest():
     assert SUITE_CHECKS == MANIFEST
@@ -125,7 +162,29 @@ def test_all_concatenates_every_suite():
     report = run_suite("all", seed=2)
     expected = [name for suite in MANIFEST for name in MANIFEST[suite]]
     assert [c.name for c in report.checks] == expected
+    assert [(c.name, c.tolerance, c.samples) for c in report.checks] == [(n, *GATES[n]) for n in expected]
     assert report.suite == "all"
+
+
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (-1, ValueError, r"^seed -1 outside supported range \[0, inf\)$"),
+        (1.5, TypeError, "^seed must be an integer, got float$"),
+        (True, TypeError, "^seed must be an integer, got bool$"),
+        ("3", TypeError, "^seed must be an integer, got str$"),
+    ],
+)
+@pytest.mark.parametrize("suite", ["beam", "polarization"])
+def test_seed_follows_the_integer_rule(suite, seed, error, message):
+    with pytest.raises(error, match=message):
+        run_suite(suite, seed=seed)
+
+
+def test_seed_accepts_numpy_integers():
+    report = run_suite("beam", seed=np.int64(3))
+    assert _without_timings(report) == _without_timings(run_suite("beam", seed=3))
+    assert type(report.seed) is int and json.loads(report.to_json())["seed"] == 3
 
 
 def test_json_round_trip():
