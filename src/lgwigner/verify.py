@@ -26,8 +26,9 @@ largest frequency it is evaluated at. An outer integral of a product
 :func:`_product_spec`: both factors vanish past the half-width T of
 their degree and have spectra in [-T, T], so the product's spectrum
 lies in [-2T, 2T], and the spec for that degree with reach T keeps the
-first alias outside it. The one sum on another grid is
-``rotfft_parseval``'s, over the rotate-plus-FFT sample grid itself.
+first alias outside it. The rotate-plus-FFT checks sample their fields
+on that same product-rule grid of the mode degree, and
+``rotfft_parseval`` sums over it and over the transform's output grid.
 """
 
 from __future__ import annotations
@@ -537,15 +538,27 @@ def _suite_unitarity(seed: int) -> tuple:
         ip_out = _gram(extended_wigner_grid(f, axis, axis, _sized(2 * deg, axis)), w2)
         return ip_in - ip_out
 
-    def rotfft_hg_to_lg(j, k):
-        grid = Grid2D.sample(_hg_stack(j, k), (-8.0, 8.0, 256), (-8.0, 8.0, 256))
-        out = extended_wigner_rotfft(grid)
-        ref = lg_mode(ModeIndex.lg(j, k), out.x_nodes()[:, None], out.y_nodes()[None, :])
-        return out.values - ref
+    def sized_grid(field, degree):
+        # the product rule's window [-T, T] and spacing <= pi / T: the
+        # samples vanish past T, and the output's frequency axis reaches
+        # pi / dx >= T, which covers the LG mode's support
+        spec = _product_spec(degree)
+        axis = (-spec.half_width, spec.half_width, spec.nodes)
+        return Grid2D.sample(field, axis, axis)
+
+    def rotfft_hg_to_lg(*orders):
+        devs = []
+        for j, k in orders:
+            # HG(j, k) maps to LG(j, k), of degree j + k along each axis
+            out = extended_wigner_rotfft(sized_grid(_hg_stack(j, k), j + k))
+            ref = lg_mode(ModeIndex.lg(j, k), out.x_nodes()[:, None], out.y_nodes()[None, :])
+            devs.append((out.values - ref).ravel())
+        return np.concatenate(devs)
 
     def rotfft_parseval():
+        # coefficients up to h_3 h_3, so of degree 6
         f = _superposition_2d(_random_coeffs(rng, (4, 4)))
-        grid = Grid2D.sample(f, (-8.0, 8.0, 320), (-8.0, 8.0, 320))
+        grid = sized_grid(f, 6)
         out = extended_wigner_rotfft(grid)
 
         def norm(g):
@@ -555,7 +568,13 @@ def _suite_unitarity(seed: int) -> tuple:
 
         return norm(grid) - norm(out)
 
-    return inner_products, lambda: rotfft_hg_to_lg(0, 0), lambda: rotfft_hg_to_lg(1, 0), rotfft_parseval
+    return (
+        inner_products,
+        lambda: rotfft_hg_to_lg((0, 0)),
+        # orders 1 to 64, up to MAX_DEGREE along either axis
+        lambda: rotfft_hg_to_lg((1, 0), (8, 8), (32, 32), (64, 0), (0, 64)),
+        rotfft_parseval,
+    )
 
 
 # ---------------------------------------------------------------------------

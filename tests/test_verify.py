@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lgwigner.beam import BeamIndex, BeamParams, beam_field, beam_geometry
-from lgwigner import verify
+from lgwigner import verify, wigner
 from lgwigner.modes import ModeIndex, lg_mode
 from lgwigner.specfun import hermite_function, hermite_function_derivative, hermite_function_table
 from lgwigner.verify import (
@@ -89,8 +89,8 @@ GATES = {
     "hg_diag_consistency": (1e-12, 100),
     "polarization_identity": (1e-8, 20),
     "wtilde_inner_products": (1e-6, 100),
-    "rotfft_fixed_point": (1e-6, 65536),
-    "rotfft_maps_hg_to_lg": (1e-5, 65536),
+    "rotfft_fixed_point": (1e-6, 2304),
+    "rotfft_maps_hg_to_lg": (1e-5, 94772),
     "rotfft_parseval": (1e-6, 1),
     "weyl_pairing_one": (1e-6, 25),
     "weyl_pairing_x": (1e-6, 25),
@@ -203,6 +203,15 @@ def test_intertwine_checks_fail_on_a_sign_flipped_hermite_derivative(monkeypatch
     report = run_suite("intertwine", seed=7)
     assert [c.name for c in report.checks] == list(MANIFEST["intertwine"])
     assert not any(c.passed for c in report.checks)
+
+
+def test_rotfft_check_fails_on_a_conjugated_shift_ramp(monkeypatch):
+    # exp(-i k shift) shears the wrong way, so the rotation is wrong and
+    # HG(j, k) no longer maps to LG(j, k)
+    ramp = wigner._shift_ramp
+    monkeypatch.setattr(wigner, "_shift_ramp", lambda *args: np.conj(ramp(*args)))
+    report = {c.name: c for c in run_suite("unitarity", seed=7).checks}
+    assert not report["rotfft_maps_hg_to_lg"].passed
 
 
 def test_timed_reduces_every_deviation():

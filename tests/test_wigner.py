@@ -13,6 +13,7 @@ import lgwigner
 
 from lgwigner import specfun
 from lgwigner.modes import ModeIndex, lg_mode
+from lgwigner.verify import _product_spec
 from lgwigner.wigner import (
     Grid2D,
     PhasePoint4,
@@ -335,9 +336,29 @@ def test_shift_ramp_matches_direct_exponential(count, axis):
     assert np.abs(ramp - direct).max() <= 4 * np.finfo(float).eps * largest_angle
 
 
+def _sized_axis(degree):
+    """The axis of verify's product-rule grid of ``degree``: the window
+    [-T, T] past which every h_k, ``k <= degree``, is below 1e-16, at a
+    spacing of at most pi / T."""
+    spec = _product_spec(degree)
+    return (-spec.half_width, spec.half_width, spec.nodes)
+
+
+def test_sized_axis_frequencies_reach_the_half_width():
+    # the output's frequency axis reaches pi / dx; short of T it misses
+    # part of the LG mode (128 nodes at order 64 miss by about 1e-3)
+    axes = [_sized_axis(degree) for degree in range(specfun.MAX_DEGREE + 1)]
+    assert [d for d, (lo, hi, n) in enumerate(axes) if np.pi * (n - 1) / (hi - lo) < hi] == []
+
+
 @pytest.mark.parametrize(
     "j, k, x_axis, y_axis, bound",
     [
+        # the product-rule grid of degree j + k (measured 1.1e-14 at
+        # (16, 16), 114 x 114; <= 3.8e-14 at order 64, 168 x 168)
+        (16, 16, _sized_axis(32), _sized_axis(32), 1e-12),
+        (40, 24, _sized_axis(64), _sized_axis(64), 1e-12),
+        (0, 64, _sized_axis(64), _sized_axis(64), 1e-12),
         (1, 0, (-8.0, 8.0, 256), (-8.0, 8.0, 256), 1e-10),
         (3, 2, (-8.0, 8.0, 256), (-8.0, 8.0, 256), 1e-10),
         (1, 0, (-8.0, 8.0, 512), (-8.0, 8.0, 512), 1e-10),
