@@ -436,10 +436,12 @@ def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
     sampled on 256 x 256 or 512 x 512 nodes over [-8, 8] is accurate to
     about 3e-12, where truncation at the window edge sets the limit.
 
-    Sized by the mode degree d = j + k instead, HG(j, k) reaches 1e-14
-    to 5e-14 at every order up to ``MAX_DEGREE`` = 64: the window is
-    [-T, T] with T = ``QuadratureSpec.for_degree(d).half_width``, past
-    which the samples stay below 1e-16, on
+    Sized by the mode degree d = j + k instead, HG(j, k) is accurate to
+    below 5e-14 up to order 64 on the product-rule grid (checked at
+    orders 0, 1, 16, 32 and 64: (0, 0), (1, 0), (8, 8), (16, 16),
+    (32, 32), (40, 24), (64, 0) and (0, 64)). The window is [-T, T] with
+    T = ``QuadratureSpec.for_degree(d).half_width``, past which the
+    samples stay below 1e-16, on
     ``QuadratureSpec.for_degree(d, reach=T).nodes`` nodes per axis, a
     spacing dx of at most pi / T, so the output's frequency axis reaches
     pi / dx >= T and covers the LG mode (168 x 168 on [-16.125, 16.125]

@@ -32,8 +32,3 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     assert summary["run_s"]["change"] == {"q1": 2.0, "median": 2.5, "q3": 4.0}
     assert summary["pass_ratio"]["change"]["median"] == 1.0
 
-
-def test_run_command_is_the_benchmark_run_untraced():
-    assert bench_pairs.run_command("verify_full", 16001, 20.0) == [
-        "perfbench/run.py", "--workload", "verify_full", "--seed", "16001", "--seconds", "20", "--trace", "0",
-    ]

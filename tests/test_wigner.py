@@ -13,7 +13,6 @@ import lgwigner
 
 from lgwigner import specfun
 from lgwigner.modes import ModeIndex, lg_mode
-from lgwigner.verify import _product_spec
 from lgwigner.wigner import (
     Grid2D,
     PhasePoint4,
@@ -69,7 +68,9 @@ _REACHES = (0.0, 1e-5, 2.0, 4.0, 8.0, 12.0, 40.0)
 
 def test_for_degree_nodes_even_and_at_least_16():
     for degree in range(specfun.MAX_DEGREE + 1):
-        for reach in _REACHES:
+        # reach T is the rotate-plus-FFT sizing: pi / dx >= T, so the
+        # output covers the LG mode (128 nodes at order 64 miss by 1e-3)
+        for reach in (*_REACHES, QuadratureSpec.for_degree(degree).half_width):
             spec = QuadratureSpec.for_degree(degree, reach)
             assert spec.nodes % 2 == 0 and spec.nodes >= 16
             # the spacing keeps the first alias outside [-T, T]
@@ -337,18 +338,10 @@ def test_shift_ramp_matches_direct_exponential(count, axis):
 
 
 def _sized_axis(degree):
-    """The axis of verify's product-rule grid of ``degree``: the window
-    [-T, T] past which every h_k, ``k <= degree``, is below 1e-16, at a
-    spacing of at most pi / T."""
-    spec = _product_spec(degree)
-    return (-spec.half_width, spec.half_width, spec.nodes)
-
-
-def test_sized_axis_frequencies_reach_the_half_width():
-    # the output's frequency axis reaches pi / dx; short of T it misses
-    # part of the LG mode (128 nodes at order 64 miss by about 1e-3)
-    axes = [_sized_axis(degree) for degree in range(specfun.MAX_DEGREE + 1)]
-    assert [d for d, (lo, hi, n) in enumerate(axes) if np.pi * (n - 1) / (hi - lo) < hi] == []
+    """The window [-T, T] past which every h_k, ``k <= degree``, is below
+    1e-16, on the nodes of reach T: a spacing of at most pi / T."""
+    half_width = QuadratureSpec.for_degree(degree).half_width
+    return (-half_width, half_width, QuadratureSpec.for_degree(degree, half_width).nodes)
 
 
 @pytest.mark.parametrize(

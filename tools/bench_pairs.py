@@ -1,14 +1,15 @@
-"""Run the benchmark in alternating pairs on two commits and write one record.
+"""Run the benchmark in alternating pairs on a parent commit and HEAD and
+write one record.
 
 Run from anywhere, for example::
 
-    python tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --workload verify_full cli_export --first-seed 16001 --out BENCH_16.json
+    python tools/bench_pairs.py --parent HEAD~1 --first-seed 16001 --out BENCH_16.json
 
-Each side is the committed tree of its ref, unpacked by ``git archive``
+Each side is the committed tree of its commit, unpacked by ``git archive``
 into a temporary directory, so only committed files take part, as on a
-fresh checkout; nothing is registered in the repository. Each of ten
-pairs, pair i on seed ``first_seed + i - 1``, runs
+fresh checkout; nothing is registered in the repository. For every
+workload that ``BENCHMARK.json`` lists, each of ten pairs, pair i on seed
+``first_seed + i - 1``, runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -24,14 +25,12 @@ values count for neither side.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -40,7 +39,7 @@ SIDES = ("parent", "change")
 PAIRS = 10  # the fewest alternating pairs a claimed gain rests on
 
 
-def run_command(workload: str, seed: int | str, seconds: float) -> list[str]:
+def run_command(workload: str, seed: int, seconds: float) -> list[str]:
     """The benchmark command of one run, relative to the tree's root."""
     return [
         "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -75,8 +74,8 @@ def _git(*args: str) -> bytes:
 
 
 def _unpack(sha: str, dest: Path) -> None:
-    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", sha))) as archive:
-        archive.extractall(dest, filter="data")
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=_git("archive", "--format=tar", sha), check=True)
 
 
 def _last_line(tree: Path, command: list[str]) -> str:
@@ -89,8 +88,6 @@ def _last_line(tree: Path, command: list[str]) -> str:
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
-    parser.add_argument("--change", default="HEAD", help="git ref of the change (default HEAD)")
-    parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     return parser.parse_args(argv)
@@ -102,11 +99,11 @@ def main(argv=None) -> int:
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     shas = {side: _git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
-            for side, ref in zip(SIDES, (args.parent, args.change))}
+            for side, ref in zip(SIDES, (args.parent, "HEAD"))}
     record = {
         "what": "Alternating parent/change pairs of the benchmark. Each run's entry is the last line "
         "of standard output of the command, verbatim; the summary is computed from those lines.",
-        "command": " ".join(["python3", *run_command("<workload>", "<seed>", seconds)]),
+        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
         **shas,
         "machine": f"{os.cpu_count()} CPUs ({platform.machine()}), Python {platform.python_version()}",
         "order": "odd pairs run the parent first, even pairs the change first",
@@ -116,7 +113,7 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             _unpack(shas[side], trees[side])
-        for workload in args.workload:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for i in range(1, PAIRS + 1):
                 seed = args.first_seed + i - 1
