@@ -17,15 +17,33 @@ finite (see :class:`lgwigner.beam.BeamParams` and
 :func:`lgwigner.beam.beam_geometry`).
 All configuration is via flags; the tool reads no environment variables
 or config files, so identical invocations produce identical outputs.
+(The standard library's ``tempfile`` takes the directory for the forked
+writers' chunks, below, from ``TMPDIR``; that moves no output byte.)
 ``--timings`` adds an evaluate and format+write breakdown on stderr and
 changes nothing else.
+
+CSV rows are formatted by up to one process per usable CPU (the CPU
+affinity, or the CPU count where that is missing), at most one per
+16,384 rows, so small files stay in one process. The parent formats
+the first contiguous chunk of rows into the output file; each other
+chunk is formatted by an ``os.fork``ed child into an unlinked temporary
+file, which the parent appends in order. The bytes are the same whatever
+the CPU count. A child only formats floats and writes, and makes no BLAS
+call; it ends with ``os._exit``, so it neither flushes the parent's
+buffered output nor runs exit handlers. From Python 3.12, forking a
+process that has BLAS threads emits a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import math
+import os
+import shutil
 import sys
+import tempfile
 import time
 import traceback
 
@@ -48,6 +66,10 @@ _POINTS_HEADER = "x1,x2,xi1,xi2"
 
 #: Largest coordinate magnitude accepted, in flags and points files alike
 _COORD_LIMIT = 1e150
+
+#: Fewest CSV rows per formatting process: forking one more child of a
+#: ~65 MB process costs ~13 ms, the time to format ~5k rows
+_ROWS_PER_WORKER = 16384
 
 
 class UsageError(ValueError):
@@ -86,28 +108,113 @@ def _csv_lines(coords, values) -> str:
     """CSV lines pairing each formatted coordinate prefix with ``re,im``.
 
     Every float is written as its ``repr``: the shortest decimal that
-    round-trips.
+    round-trips. Real ``values`` write every imaginary part as ``0.0``,
+    the +0.0 that casting a real value to complex gives, NaN included.
     """
-    values = np.asarray(values, dtype=complex)
+    real = not np.iscomplexobj(values)
+    values = np.asarray(values, dtype=float if real else complex)
     re = map(repr, values.real.tolist())
-    im = map(repr, values.imag.tolist())
+    im = itertools.repeat("0.0") if real else map(repr, values.imag.tolist())
     return "".join([f"{c},{r},{i}\n" for c, r, i in zip(coords, re, im)])
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(rows: int) -> int:
+    """Processes that format ``rows`` CSV rows: one per usable CPU, at
+    most one per ``_ROWS_PER_WORKER`` rows, and 1 without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cpus(), rows // _ROWS_PER_WORKER))
+
+
+def _format_in_child(out, encoding: str, write_rows, start: int, stop: int) -> None:
+    """In a forked child: write rows [start, stop) to the file ``out`` and
+    end the process with exit code 0, or with ``EXIT_IO`` (an OSError) or
+    ``EXIT_INTERNAL`` (anything else) and the error's one-line summary
+    in place of the rows. Never returns."""
+    code = EXIT_INTERNAL
+    try:
+        try:
+            with open(out.fileno(), "w", encoding=encoding, newline="", closefd=False) as fh:
+                write_rows(fh, start, stop)
+            code = EXIT_OK
+        except BaseException as exc:
+            code = EXIT_IO if isinstance(exc, OSError) else EXIT_INTERNAL
+            os.ftruncate(out.fileno(), 0)
+            os.pwrite(out.fileno(), "".join(traceback.format_exception_only(exc)).strip().encode(), 0)
+    finally:
+        os._exit(code)
+
+
+def _write_csv(path: str, header: str, rows: int, write_rows) -> None:
+    """Write ``header`` and then rows [0, rows) to ``path``;
+    ``write_rows(fh, start, stop)`` writes rows [start, stop) to the text
+    file ``fh``.
+
+    The rows are split into ``_worker_count(rows)`` contiguous chunks. The
+    parent writes chunk 0 straight into ``path``; each other chunk is
+    written by a forked child into a temporary file and appended in order
+    after every child has been reaped. A child's failure is raised here
+    as an OSError (exit 3) when the child's error was one, and as a
+    RuntimeError (exit 4) otherwise.
+    """
+    workers = _worker_count(rows)
+    bounds = [rows * w // workers for w in range(workers + 1)]
+    with open(path, "w", newline="") as fh, contextlib.ExitStack() as temps:
+        fh.write(header)
+        children = []
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                out = temps.enter_context(tempfile.TemporaryFile())
+                pid = os.fork()
+                if pid == 0:
+                    _format_in_child(out, fh.encoding, write_rows, start, stop)
+                children.append((pid, out, start, stop))
+            write_rows(fh, 0, bounds[1])
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, *_ in children]
+        for code, (_, out, start, stop) in zip(codes, children):
+            if code != EXIT_OK:
+                out.seek(0)
+                reason = out.read(4096).decode(errors="replace") if code in (EXIT_IO, EXIT_INTERNAL) else ""
+                message = f"formatting CSV rows {start}-{stop - 1} failed (exit status {code}): {reason}"
+                raise (OSError if code == EXIT_IO else RuntimeError)(message)
+        fh.flush()
+        for _, out, *_ in children:
+            out.seek(0)
+            shutil.copyfileobj(out, fh.buffer, 1 << 20)
+
+
 def _write_grid_csv(path: str, xs, ys, values) -> None:
-    """Rows run x outer, y inner; written one x row at a time."""
+    """Rows run x outer, y inner; written one x row (or part of one) at a time."""
+    xs = list(map(repr, np.asarray(xs, dtype=float).tolist()))
     ys = list(map(repr, np.asarray(ys, dtype=float).tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,re,im\n")
-        for x, row in zip(map(repr, np.asarray(xs, dtype=float).tolist()), values):
-            fh.write(_csv_lines([f"{x},{y}" for y in ys], row))
+    values = np.asarray(values)
+
+    def write_rows(fh, start: int, stop: int) -> None:
+        while start < stop:
+            i, j = divmod(start, len(ys))
+            end = min(len(ys), j + stop - start)
+            fh.write(_csv_lines([f"{xs[i]},{y}" for y in ys[j:end]], values[i, j:end]))
+            start += end - j
+
+    _write_csv(path, "x,y,re,im\n", len(xs) * len(ys), write_rows)
 
 
 def _write_points_csv(path: str, points, values) -> None:
-    coords = [",".join(map(repr, pt)) for pt in np.asarray(points, dtype=float).tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write(_POINTS_HEADER + ",re,im\n")
-        fh.write(_csv_lines(coords, values))
+    points = np.asarray(points, dtype=float)
+    values = np.asarray(values)
+
+    def write_rows(fh, start: int, stop: int) -> None:
+        coords = [",".join(map(repr, pt)) for pt in points[start:stop].tolist()]
+        fh.write(_csv_lines(coords, values[start:stop]))
+
+    _write_csv(path, _POINTS_HEADER + ",re,im\n", len(points), write_rows)
 
 
 def _write_pgm(path: str, values) -> None:

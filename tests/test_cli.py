@@ -2,6 +2,10 @@
 exit-code semantics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,6 +456,11 @@ def test_grid_csv_matches_per_element_reference(tmp_path):
     # a real grid writes its imaginary parts as 0.0
     cli._write_grid_csv(str(out), xs, ys, values.real)
     assert out.read_bytes() == _reference_grid_csv(xs, ys, values.real)
+    # ... NaN, infinities and -0.0 included
+    real = np.resize(np.array([-0.0, np.nan, np.inf, -np.inf, *_EDGE_VALUES]), (xs.size, ys.size))
+    cli._write_grid_csv(str(out), xs, ys, real)
+    assert out.read_bytes() == _reference_grid_csv(xs, ys, real)
+    assert out.read_bytes().count(b",nan,0.0\n") == np.isnan(real).sum()
 
 
 def test_points_csv_matches_per_element_reference(tmp_path):
@@ -460,6 +469,138 @@ def test_points_csv_matches_per_element_reference(tmp_path):
     out = tmp_path / "points.csv"
     cli._write_points_csv(str(out), points, values)
     assert out.read_bytes() == _reference_points_csv(points, values)
+
+
+def _force_workers(monkeypatch, workers):
+    """Make every CSV of at least ``workers`` rows use ``workers`` processes,
+    whatever the CPU count."""
+    monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _chunk_edge_values(rows, workers):
+    """Values cycling through the edge cases, with NaN and infinities on the
+    first and last row of every chunk the writer splits ``rows`` into."""
+    edge = np.array(_EDGE_VALUES)
+    values = np.empty(rows, dtype=complex)
+    values.real = np.resize(edge, rows)
+    values.imag = np.resize(edge[::-1], rows)
+    bounds = [rows * w // workers for w in range(workers + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        values[start] = complex(np.nan, -np.inf)
+        values[stop - 1] = complex(np.inf, np.nan)
+    return values
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("nx, ny", [(3, 5), (4, 5), (2, 7)])  # 15, 20 and 14 rows
+def test_parallel_grid_csv_matches_per_element_reference(tmp_path, monkeypatch, workers, nx, ny):
+    _force_workers(monkeypatch, workers)
+    forks = _count_forks(monkeypatch)
+    xs = np.resize(np.array([np.nan, *_EDGE_VALUES]), nx)
+    ys = np.resize(np.array([*_EDGE_VALUES[::-1], -np.inf]), ny)
+    values = _chunk_edge_values(nx * ny, workers).reshape(nx, ny)
+    out = tmp_path / "grid.csv"
+    for grid in (values, values.real):
+        cli._write_grid_csv(str(out), xs, ys, grid)
+        assert out.read_bytes() == _reference_grid_csv(xs, ys, grid)
+    assert forks == [os.getpid()] * 2 * (workers - 1)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("rows", [7, 10, 11])
+def test_parallel_points_csv_matches_per_element_reference(tmp_path, monkeypatch, workers, rows):
+    _force_workers(monkeypatch, workers)
+    forks = _count_forks(monkeypatch)
+    points = [tuple(np.roll(_EDGE_VALUES, s)[:4].tolist()) for s in range(rows)]
+    values = _chunk_edge_values(rows, workers)
+    out = tmp_path / "points.csv"
+    cli._write_points_csv(str(out), points, values)
+    assert out.read_bytes() == _reference_points_csv(points, values)
+    assert len(forks) == workers - 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers, fail_in", [(2, "child"), (2, "parent"), (1, "parent")])
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (ValueError("formatting bug"), cli.EXIT_INTERNAL, "internal error: "),
+        (OSError(28, "No space left on device"), cli.EXIT_IO, "i/o error: "),
+    ],
+)
+def test_a_failing_writer_exits_as_one_process_does_and_leaves_no_child(
+    tmp_path, monkeypatch, capsys, workers, fail_in, error, code, message
+):
+    _force_workers(monkeypatch, workers)
+    parent = os.getpid()
+    csv_lines = cli._csv_lines
+
+    def failing(coords, values):
+        if (os.getpid() == parent) == (fail_in == "parent"):
+            raise error
+        return csv_lines(coords, values)
+
+    monkeypatch.setattr(cli, "_csv_lines", failing)
+    argv = ["modes", "lg", "--index", "1", "0", "--nx", "4", "--ny", "4", "--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and str(error) in captured.err
+    if fail_in == "child":
+        assert "formatting CSV rows 8-15 failed" in captured.err
+    _assert_no_child_left()
+
+
+def _run_cli(*args):
+    """Run Python on ``args`` with stdout piped and block-buffered."""
+    root = Path(__file__).resolve().parent.parent
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args], cwd=root, env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+
+
+def test_forked_writers_print_nothing_of_their_own(tmp_path):
+    """Stdout piped to another process is block-buffered; a child that
+    flushed it on exit would repeat what the parent had not yet written."""
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    # 2 * 16,384 rows: one process per CPU, up to two
+    argv = ["modes", "lg", "--index", "2", "1", "--nx", "128", "--ny", "256"]
+    run = _run_cli("-m", "lgwigner.cli", *argv, "--out", str(plain))
+    assert run.stdout == f"modes lg (2,1): wrote 32768 samples to {plain}\n"
+    run = _run_cli("-m", "lgwigner.cli", *argv, "--out", str(timed), "--timings")
+    assert run.stdout == f"modes lg (2,1): wrote 32768 samples to {timed}\n"
+    assert plain.read_bytes() == timed.read_bytes()
+    # three processes on any machine, with a line already waiting in the buffer
+    forced = tmp_path / "forced.csv"
+    script = (
+        "import sys; from lgwigner import cli; print('before'); "
+        "cli._usable_cpus = lambda: 3; cli._ROWS_PER_WORKER = 4; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    run = _run_cli("-c", script, "modes", "lg", "--index", "2", "1", "--nx", "5", "--ny", "3", "--out", str(forced))
+    assert run.stdout == f"before\nmodes lg (2,1): wrote 15 samples to {forced}\n"
+    xs, ys = np.linspace(-4.0, 4.0, 5), np.linspace(-4.0, 4.0, 3)
+    assert forced.read_bytes() == _reference_grid_csv(xs, ys, lg_mode(ModeIndex.lg(2, 1), xs[:, None], ys[None, :]))
 
 
 @pytest.mark.parametrize(
