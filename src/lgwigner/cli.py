@@ -139,14 +139,13 @@ def _format_in_child(out, encoding: str, write_rows, start: int, stop: int) -> N
     in place of the rows. Never returns."""
     code = EXIT_INTERNAL
     try:
-        try:
-            with open(out.fileno(), "w", encoding=encoding, newline="", closefd=False) as fh:
-                write_rows(fh, start, stop)
-            code = EXIT_OK
-        except BaseException as exc:
-            code = EXIT_IO if isinstance(exc, OSError) else EXIT_INTERNAL
-            os.ftruncate(out.fileno(), 0)
-            os.pwrite(out.fileno(), "".join(traceback.format_exception_only(exc)).strip().encode(), 0)
+        with open(out.fileno(), "w", encoding=encoding, newline="", closefd=False) as fh:
+            write_rows(fh, start, stop)
+        code = EXIT_OK
+    except BaseException as exc:  # reported through the exit code: a child never returns
+        code = EXIT_IO if isinstance(exc, OSError) else EXIT_INTERNAL
+        os.ftruncate(out.fileno(), 0)
+        os.pwrite(out.fileno(), "".join(traceback.format_exception_only(exc)).strip().encode(), 0)
     finally:
         os._exit(code)
 
