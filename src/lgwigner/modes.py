@@ -18,8 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
+    MAX_DEGREE,
     _check_degree,
+    _check_index,
     _scalars_as_arrays,
+    _z_power,
     hermite_function,
     hermite_function_derivative,
     laguerre,
@@ -146,12 +149,16 @@ _OP_POINTWISE = {
 }
 
 
-def _inv_sqrt_factorial_ratio(lo: int, hi: int) -> float:
-    """sqrt(lo!/hi!) for hi >= lo, as a running product (no factorials)."""
-    out = 1.0
-    for i in range(lo + 1, hi + 1):
-        out /= np.sqrt(i)
+def _sqrt_factorial_ratios() -> np.ndarray:
+    """``out[lo, hi]`` = sqrt(lo!/hi!) for lo <= hi <= MAX_DEGREE, each the
+    running product of 1/sqrt(i) over lo < i <= hi (no factorials)."""
+    out = np.ones((MAX_DEGREE + 1, MAX_DEGREE + 1))
+    for hi in range(1, MAX_DEGREE + 1):
+        out[:hi, hi] = out[:hi, hi - 1] / np.sqrt(hi)
     return out
+
+
+_SQRT_FACTORIAL_RATIO = _sqrt_factorial_ratios()
 
 
 @_scalars_as_arrays(float, "x", "y")
@@ -161,7 +168,31 @@ def hg_mode(index: ModeIndex, x, y) -> float | np.ndarray:
     return hermite_function(index.first, x) * hermite_function(index.second, y)
 
 
-@_scalars_as_arrays(complex, "x", "y")
+@_scalars_as_arrays(complex, "x", "y", indices=("n_plus", "n_minus"))
+def _lg_modes(n_plus, n_minus, x, y) -> complex | np.ndarray:
+    """:func:`lg_mode` at circular quanta ``(n_plus, n_minus)``, integers or
+    integer arrays broadcasting against the points."""
+    n_plus = _check_index(n_plus, "n_plus", 0, MAX_DEGREE)
+    n_minus = _check_index(n_minus, "n_minus", 0, MAX_DEGREE)
+    lo, alpha = np.minimum(n_plus, n_minus), abs(n_plus - n_minus)
+    z = x + 1j * y
+    rho = x * x + y * y
+    gauss = np.exp(-0.5 * rho)
+    # where the Gaussian underflows the value is 0: zero the point there
+    # first, so neither the power of z nor the polynomial can overflow
+    # (in place: z and rho are new arrays of the mask's shape)
+    dead = gauss == 0
+    z[dead] = rho[dead] = 0
+    amp = _SQRT_FACTORIAL_RATIO[lo, lo + alpha] * (-1.0) ** lo
+    # in place, in the operand order of amp / sqrt(pi) * power * gauss * L
+    value = _z_power(z, n_plus - n_minus)
+    np.multiply(amp / np.sqrt(np.pi), value, out=value)
+    value *= gauss
+    value *= laguerre(lo, alpha, rho)
+    np.copyto(value, 0, where=dead)
+    return value
+
+
 def lg_mode(index: ModeIndex, x, y) -> complex | np.ndarray:
     """Laguerre-Gaussian mode at position (x, y), with z = x + iy.
 
@@ -171,22 +202,15 @@ def lg_mode(index: ModeIndex, x, y) -> complex | np.ndarray:
         exp(-|z|**2/2) L^(hi-lo)_lo(|z|**2)
 
     where w is z when ``n_plus >= n_minus`` and its conjugate otherwise.
+    ``x`` and ``y`` broadcast against each other; a scalar point returns a
+    ``complex``. It is a thin wrapper over one evaluator whose quanta may
+    also be integer arrays broadcasting against the points, as the
+    indices of :func:`lgwigner.wigner.wigner_hermite_closed` do; the
+    verification suites build their LG stacks from it in one call, each
+    mode with the bits of its own ``lg_mode`` call.
     """
     index._require(Basis.LG)
-    lo, hi = sorted((index.first, index.second))
-    z = x + 1j * y
-    rho = x * x + y * y
-    gauss = np.exp(-0.5 * rho)
-    # where the Gaussian underflows the value is 0: zero the point there
-    # first, so neither the power of z nor the polynomial can overflow
-    # (in place: z, rho and the value are new arrays of the mask's shape)
-    dead = gauss == 0
-    z[dead] = rho[dead] = 0
-    amp = _inv_sqrt_factorial_ratio(lo, hi) * (-1.0) ** lo
-    value = amp / np.sqrt(np.pi) * (z if index.first >= index.second else np.conj(z)) ** (hi - lo)
-    value = value * gauss * laguerre(lo, hi - lo, rho)
-    value[dead] = 0
-    return value
+    return _lg_modes(index.first, index.second, x, y)
 
 
 def ladder_index_action(op: LadderOp, index: ModeIndex):
@@ -265,7 +289,7 @@ class _LGField:
         z[dead] = rho[dead] = 0
         zbar = np.conj(z)
         power_base, other = (zbar, z) if conjugated else (z, zbar)
-        amp = _inv_sqrt_factorial_ratio(lo, hi) * (-1.0) ** lo
+        amp = _SQRT_FACTORIAL_RATIO[lo, hi] * (-1.0) ** lo
         coeff = amp / np.sqrt(np.pi) * gauss
         lag = laguerre(lo, alpha, rho)
         dlag = -laguerre(lo - 1, alpha + 1, rho) if lo > 0 else 0.0

@@ -8,7 +8,8 @@ and are pure, so they are safe to call concurrently.
 
 The module also holds the package's argument rules, each written once:
 ``_check_int`` for every integer argument (degrees, counts, indices),
-and ``_scalars_as_arrays`` for every pointwise evaluator's coordinates,
+``_check_index`` for an index that may also be an integer array, and
+``_scalars_as_arrays`` for every pointwise evaluator's coordinates,
 which must be finite and are refused under the name the caller passed.
 
 The Hermite-function and Laguerre recurrences run blocked: they walk the
@@ -64,6 +65,28 @@ def _check_int(value, name: str, lo: int, hi: int | None = None) -> None:
         raise ValueError(f"{name} {value} outside supported range [{lo}, {top}")
 
 
+#: The argument types :func:`_check_index` reads as index arrays.
+_INDEX_ARRAYS = (np.ndarray, list, tuple)
+
+
+def _check_index(value, name: str, lo: int, hi: int | None = None):
+    """The integer rule for an index that broadcasts like a coordinate:
+    an integer, or an array_like of integers, every entry in ``[lo, hi]``.
+    A float or bool array raises TypeError and an entry out of range
+    ValueError, in ``_check_int``'s format, naming the first such entry.
+    Returns a scalar as an int and an array as an int64 array."""
+    if not isinstance(value, _INDEX_ARRAYS):
+        _check_int(value, name, lo, hi)
+        return int(value)
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be an integer, got {arr.dtype.name} array")
+    if arr.size and (arr.min() < lo or (hi is not None and arr.max() > hi)):
+        bad = (arr < lo) | (arr > hi) if hi is not None else arr < lo
+        _check_int(arr[bad][0], name, lo, hi)
+    return int(arr) if arr.ndim == 0 else arr.astype(np.int64, copy=False)
+
+
 def _check_degree(n, name: str = "n") -> None:
     _check_int(n, name, 0, MAX_DEGREE)
 
@@ -75,22 +98,26 @@ def _as_finite_array(x, name: str = "x") -> np.ndarray:
     return arr
 
 
-def _blockwise(arr: np.ndarray, depth: int, kernel, lead: tuple = ()) -> np.ndarray:
+def _blockwise(arr: np.ndarray, depth: int, kernel, lead: tuple = (), params: tuple = ()) -> np.ndarray:
     """Run a recurrence over ``arr``'s flattened points, block by block.
 
-    Returns a new array of shape ``lead + arr.shape``. For each block
-    ``kernel(x, out, work)`` gets the block's points ``x``, its part of the
-    result ``out`` (shape ``lead + x.shape``) and ``depth`` preallocated
-    rows of ``x``'s size to work in.
+    ``params`` are arrays broadcasting against ``arr``. Returns a new array
+    of shape ``lead`` plus the broadcast shape. For each block
+    ``kernel(x, out, work, *params)`` gets the block's points ``x``, its
+    part of the result ``out`` (shape ``lead + x.shape``), ``depth``
+    preallocated rows of ``x``'s size to work in, and each parameter's
+    entries at the block's points.
     """
-    flat = arr.reshape(-1)
-    out = np.empty(lead + arr.shape)
+    shape = np.broadcast_shapes(arr.shape, *(v.shape for v in params))
+    flat = (arr if arr.shape == shape else np.broadcast_to(arr, shape)).reshape(-1)
+    params = [np.broadcast_to(v, shape).reshape(-1) for v in params]
+    out = np.empty(lead + shape)
     out_flat = out.reshape(lead + flat.shape)
     work = np.empty((depth, min(flat.size, _BLOCK)))
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         x = flat[block]
-        kernel(x, out_flat[..., block], work[:, : x.size])
+        kernel(x, out_flat[..., block], work[:, : x.size], *(v[block] for v in params))
     return out
 
 
@@ -118,18 +145,21 @@ def _one_element(value):
     return type(value)(*ones) if dataclasses.is_dataclass(value) else ones[0]
 
 
-def _scalars_as_arrays(kind: type, *coords: str):
+def _scalars_as_arrays(kind: type, *coords: str, indices: tuple = ()):
     """Decorator giving an array kernel the package's coordinate rule and
     its one scalar rule.
 
     Each argument named in ``coords`` (by position or keyword) reaches the
     kernel as a float array, refused with a ValueError naming it unless
     every value is finite; a dataclass point is passed as it is, since it
-    checks its own fields. When every coordinate is a scalar, 0-d arrays
-    included, and a dataclass point counts by its fields, the kernel runs
-    on one-element arrays and returns its single value as ``kind``. Numpy
-    rounds scalar arithmetic apart from array arithmetic, so this gives a
-    point the same bits alone as in an array.
+    checks its own fields. The arguments named in ``indices`` are integer
+    indices that may be arrays broadcasting against the coordinates; they
+    reach the kernel as they are, and the kernel checks them. When every
+    coordinate is a scalar, 0-d arrays included, and a dataclass point
+    counts by its fields, the kernel runs on one-element arrays and, when
+    every index is a scalar too, returns its single value as ``kind``.
+    Numpy rounds scalar arithmetic apart from array arithmetic, so this
+    gives a point the same bits alone as in an array.
     """
 
     def decorate(kernel):
@@ -148,7 +178,10 @@ def _scalars_as_arrays(kind: type, *coords: str):
             if any(name not in named or any(map(np.ndim, _fields(named[name]))) for name in coords):
                 return kernel(*args, **kwargs)
             args, kwargs = each_coord(lambda v, name: _one_element(v), args, kwargs)
-            return kind(kernel(*args, **kwargs).item())
+            value = kernel(*args, **kwargs)
+            # one-element coordinates broadcast to an index array's shape
+            arrays = (named.get(name) for name in indices)
+            return value if any(isinstance(v, _INDEX_ARRAYS) and np.ndim(v) for v in arrays) else kind(value.item())
 
         return evaluate
 
@@ -248,15 +281,25 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     return _blockwise(arr, 1, lambda x, out, work: _hermite_rows(nmax, x, out, work[0]), (nmax + 1,))
 
 
-@_scalars_as_arrays(float, "x")
+@_scalars_as_arrays(float, "x", indices=("n",))
 def hermite_function_derivative(n: int, x) -> float | np.ndarray:
     """Derivative h_n'(x) from the ladder relation.
 
     Uses ``h_n' = sqrt(n/2) h_{n-1} - sqrt((n+1)/2) h_{n+1}`` (first term
     absent for n = 0). The recurrence runs one degree past ``n``
-    internally, which stays well conditioned.
+    internally, which stays well conditioned. ``n`` may be an integer
+    array broadcasting against ``x``: then one table to the largest ``n``
+    plus one serves every point, each with the bits of a scalar-index
+    call.
     """
-    _check_degree(n)
+    n = _check_index(n, "n", 0, MAX_DEGREE)
+    if isinstance(n, np.ndarray):
+        top = int(np.max(n, initial=0)) + 1
+        table = _blockwise(x, 1, lambda x, out, work: _hermite_rows(top, x, out, work[0]), (top + 1,))
+        columns = np.arange(x.size).reshape(x.shape)
+        table = table.reshape(top + 1, -1)
+        rise = np.sqrt((n + 1) / 2.0) * table[n + 1, columns]
+        return np.where(n == 0, -rise, np.sqrt(n / 2.0) * table[n - 1, columns] - rise)
 
     def ladder(x, out, work):
         rows, tmp = work[:3], work[3]
@@ -271,7 +314,71 @@ def hermite_function_derivative(n: int, x) -> float | np.ndarray:
     return _blockwise(x, 4, ladder)
 
 
-@_scalars_as_arrays(float, "x")
+def _index_domain(index: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where to evaluate a function of an integer index array and points
+    ``x`` that broadcast together, so that no (index, point) pair is
+    evaluated twice where the index repeats along axes of its own.
+
+    The domain is each distinct entry of ``index`` times the points of
+    ``x`` (the entries along a new leading axis), or the broadcast of
+    ``index`` and ``x`` itself where that is smaller. Returns the index to
+    evaluate with, which broadcasts against ``x`` to the domain, and for
+    each point of the broadcast its flat position in the domain.
+    """
+    size = math.prod(np.broadcast_shapes(index.shape, x.shape))
+    if x.size < size:
+        values, which = np.unique(index, return_inverse=True)
+        if values.size * x.size < size:
+            columns = which.reshape(index.shape) * x.size + np.arange(x.size).reshape(x.shape)
+            return values.reshape(values.shape + (1,) * x.ndim), columns
+    return index, np.arange(size).reshape(np.broadcast_shapes(index.shape, x.shape))
+
+
+def _z_power(z: np.ndarray, e):
+    """``z ** e`` where ``e >= 0`` and ``conj(z) ** -e`` where ``e < 0``, for
+    an integer ``e`` or an integer array broadcasting against ``z``.
+
+    Each entry has the bits of the power by its own Python int: numpy
+    raises to a Python int 2 by ``np.square``, which rounds apart from
+    the repeated multiplication it uses for any other integer exponent,
+    arrays of them included.
+    """
+    if not isinstance(e, np.ndarray):
+        return (z if e >= 0 else np.conj(z)) ** abs(int(e))
+    e, columns = _index_domain(e, z)
+    base, alpha = np.where(e >= 0, z, np.conj(z)), abs(e)
+    return np.where(alpha == 2, np.square(base), base**alpha).reshape(-1)[columns]
+
+
+def _laguerre_rows(nmax: int, alpha, x: np.ndarray, rows, tmp: np.ndarray) -> None:
+    """Write L^alpha_0(x), ..., L^alpha_nmax(x) into ``rows[k % len(rows)]``
+    in place, by the recurrence
+    ``(k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}``.
+
+    ``alpha`` is an integer or an integer array of ``x``'s size. ``rows``
+    holds at least three rows of ``x``'s size (two when ``nmax <= 1``), and
+    ``tmp`` one more.
+    """
+    cycle = len(rows)
+    rows[0].fill(1.0)
+    if nmax == 0:
+        return
+    np.subtract(1.0 + alpha, x, out=rows[1])
+    # 2k + 1 + alpha and k + alpha, stepped exactly (small integers), so an
+    # array alpha makes no temporary per step
+    rise, fall = 3.0 + alpha, 1.0 + alpha
+    for k in range(1, nmax):
+        prev, cur, new = rows[(k - 1) % cycle], rows[k % cycle], rows[(k + 1) % cycle]
+        np.subtract(rise, x, out=new)
+        np.multiply(new, cur, out=new)
+        np.multiply(fall, prev, out=tmp)
+        np.subtract(new, tmp, out=new)
+        np.divide(new, k + 1.0, out=new)
+        rise += 2.0
+        fall += 1.0
+
+
+@_scalars_as_arrays(float, "x", indices=("n", "alpha"))
 def laguerre(n: int, alpha: int, x) -> float | np.ndarray:
     """Generalized Laguerre polynomial L^alpha_n(x) for integer alpha >= 0.
 
@@ -279,30 +386,31 @@ def laguerre(n: int, alpha: int, x) -> float | np.ndarray:
     ``(n+1) L^a_{n+1} = (2n+1+a-x) L^a_n - (n+a) L^a_{n-1}`` with
     ``L^a_0 = 1`` and ``L^a_1 = 1 + a - x``.
 
+    ``n`` and ``alpha`` may be integer arrays; they broadcast against
+    ``x`` as coordinates do, and the result has the broadcast shape. Then
+    one recurrence up to the largest ``n`` serves every degree, run once
+    per distinct alpha over the points of ``x`` (or once per point of the
+    broadcast of ``alpha`` and ``x``, where that is fewer), and each
+    point gets the bits of a scalar-index call. It holds that table of
+    degrees, unlike a scalar-index call, which makes no full-size
+    temporary.
+
     Accuracy, measured against 50-digit mpmath on 301 points over
     [0, 4n + 2a + 40] at (n, a) = (16, 24), (32, 32), (40, 24), (64, 0),
     (0, 64), (63, 1) and (1, 63): in the normalized form
     ``exp(-x/2) x**(a/2) sqrt(n!/(n+a)!) L^a_n(x)``, which is how
     :func:`lgwigner.modes.lg_mode` uses it, the absolute error is below
-    3.1e-15.
+    3.1e-15, as it is when those pairs are mixed point by point in one
+    call.
     """
-    _check_degree(n)
-    _check_int(alpha, "alpha", 0)
-
-    def rows(x, out, work):
-        # L_k goes to slot k % 3, L_n to out; a step writes L_{k+1} over
-        # L_{k-2} and scales L_{k-1}, needed no more, in place
-        slots = _ending_in(out, work, n)
-        slots[0].fill(1.0)
-        if n == 0:
-            return
-        np.subtract(1.0 + alpha, x, out=slots[1])
-        for k in range(1, n):
-            prev, cur, new = slots[(k - 1) % 3], slots[k % 3], slots[(k + 1) % 3]
-            np.subtract(2.0 * k + 1.0 + alpha, x, out=new)
-            np.multiply(new, cur, out=new)
-            np.multiply(k + alpha, prev, out=prev)
-            np.subtract(new, prev, out=new)
-            np.divide(new, k + 1.0, out=new)
-
-    return _blockwise(x, 2, rows)
+    n = _check_index(n, "n", 0, MAX_DEGREE)
+    alpha = _check_index(alpha, "alpha", 0)
+    if not isinstance(n, np.ndarray) and not isinstance(alpha, np.ndarray):
+        # L_n lands in out; the two other slots and tmp are work rows
+        return _blockwise(x, 3, lambda x, out, work: _laguerre_rows(n, alpha, x, _ending_in(out, work, n), work[2]))
+    # a table of every degree up to the largest n, over each distinct alpha
+    # or each point; every point then picks its entry from it
+    top = int(np.max(n, initial=0))
+    alpha, columns = _index_domain(np.asarray(alpha), x)
+    table = _blockwise(x, 1, lambda x, out, work, a: _laguerre_rows(top, a, x, out, work[0]), (top + 1,), (alpha,))
+    return table.reshape(top + 1, -1)[n, columns]

@@ -49,6 +49,7 @@ from .modes import (
     apply_operator_pointwise,
     hg_mode,
     ladder_index_action,
+    _lg_modes,
     lg_field,
     lg_mode,
 )
@@ -215,9 +216,10 @@ def _h_stack(degrees):
 
 
 def _dh_stack(degrees):
-    """As :func:`_h_stack`, for the derivatives ``h_d'(t)``."""
+    """As :func:`_h_stack`, for the derivatives ``h_d'(t)``: one recurrence
+    pass per evaluation serves every degree."""
     degrees = np.asarray(degrees)
-    return lambda t: np.array([hermite_function_derivative(d, t) for d in range(degrees.max() + 1)])[degrees]
+    return lambda t: hermite_function_derivative(degrees.reshape(degrees.shape + (1,) * np.ndim(t)), t)
 
 
 def _hg_stack(j, k):
@@ -226,22 +228,13 @@ def _hg_stack(j, k):
     return lambda u, v: fj(u) * fk(v)
 
 
-def _all_pairs(deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (m, n) broadcasting to every pair ``m, n <= deg``."""
+def _all_pairs(deg: int, trailing: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (m, n) broadcasting to every pair ``m, n <= deg``, as
+    ``out[m, n]`` ahead of ``trailing`` more axes: with 2, an index
+    argument of a closed form stacks the pairs ahead of a 2-D grid."""
     d = np.arange(deg + 1)
-    return d[:, None], d[None, :]
-
-
-def _pair_stack(fn, cap: int) -> np.ndarray:
-    """``fn(j, k)`` for every ``j, k <= cap``, stacked as ``out[j, k]``."""
-    d = range(cap + 1)
-    return np.array([[fn(j, k) for k in d] for j in d])
-
-
-def _lg_stack(cap: int, x, y) -> np.ndarray:
-    """``lg_mode`` of every LG(j, k), ``j, k <= cap``, at ``(x, y)``, stacked
-    as ``out[j, k]`` ahead of the broadcast shape of the points."""
-    return _pair_stack(lambda j, k: lg_mode(ModeIndex.lg(j, k), x, y), cap)
+    tail = (1,) * trailing
+    return d.reshape((-1, 1) + tail), d.reshape((1, -1) + tail)
 
 
 def _gram(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -373,7 +366,7 @@ def _suite_orthogonality(seed: int) -> tuple:
         cap = 4
         # LG(j, k) is a Hermite expansion of degree j + k along each axis
         axis, w = _product_spec(2 * cap).grid()
-        gram = _gram(_lg_stack(cap, axis[:, None], axis[None, :]), np.outer(w, w))
+        gram = _gram(_lg_modes(*_all_pairs(cap, 2), axis[:, None], axis[None, :]), np.outer(w, w))
         return gram - np.eye(len(gram))
 
     return hermite_orthonormality, lg_orthonormality
@@ -439,24 +432,22 @@ def _suite_closedforms(seed: int) -> tuple:
     cap = 8
     xs = np.linspace(-4.0, 4.0, 21)
     mesh_x, mesh_y = xs[:, None], xs[None, :]
-    # shared by the first two checks, and charged to the first
-    hermite_closed = functools.cache(
-        lambda: _pair_stack(lambda j, k: wigner_hermite_closed(j, k, mesh_x, mesh_y), cap)
-    )
+    pairs = _all_pairs(cap, 2)
 
     def closed_vs_quadrature():
         m, n = _all_pairs(cap)
-        return wigner1d_grid(_h_stack(m), _h_stack(n), xs, xs, _sized(2 * cap, xs)) - hermite_closed()
+        oracle = wigner1d_grid(_h_stack(m), _h_stack(n), xs, xs, _sized(2 * cap, xs))
+        return oracle - wigner_hermite_closed(*pairs, mesh_x, mesh_y)
 
     def lg_equals_closed():
-        return _lg_stack(cap, mesh_x, mesh_y) - hermite_closed()
+        return _lg_modes(*pairs, mesh_x, mesh_y) - wigner_hermite_closed(*pairs, mesh_x, mesh_y)
 
     def hg_to_lg():
         cap2 = 6
         sample = np.linspace(-3.0, 3.0, 11)
         quad = _sized(2 * cap2, sample)
         transformed = extended_wigner_grid(_hg_stack(*_all_pairs(cap2)), sample, sample, quad)
-        return transformed - _lg_stack(cap2, sample[:, None], sample[None, :])
+        return transformed - _lg_modes(*_all_pairs(cap2, 2), sample[:, None], sample[None, :])
 
     def fixed_point():
         transformed = extended_wigner_grid(_hg_stack(0, 0), xs, xs, _sized(0, xs))
@@ -481,15 +472,11 @@ def _suite_product_theorem(seed: int) -> tuple:
 
     def diagonal(closed, diag):
         """Closed form at (j, k, j, k) against the diagonal form at drawn
-        pairs and points; one array call per drawn pair."""
+        pairs and points; one call of each, with per-point indices."""
         count, cap = 100, 6
-        indices, coords = _draws(rng, count, 2, cap + 1, 4)
-        dev = np.empty(count, complex)
-        for j, k in np.unique(indices, axis=0).tolist():
-            rows = (indices == (j, k)).all(axis=1)
-            pt = PhasePoint4(*coords[rows].T)
-            dev[rows] = closed(j, k, j, k, pt) - diag(j, k, pt)
-        return dev
+        (j, k), coords = (a.T for a in _draws(rng, count, 2, cap + 1, 4))
+        pt = PhasePoint4(*coords)
+        return closed(j, k, j, k, pt) - diag(j, k, pt)
 
     lg = (lambda j, k: lg_field(ModeIndex.lg(j, k)), wigner_lg_closed, lambda *q: sum(q))
     hg = (_hg_stack, wigner_hg_closed, lambda j, k, m, n: max(j + m, k + n))
@@ -517,7 +504,7 @@ def _suite_polarization(seed: int) -> tuple:
 
         quad = _sized(2 * max(n_plus.max(), n_minus.max()), ys)
         total = np.array([0.25, -0.25, 0.25j, -0.25j]) @ wigner1d(combos, combos, xs, ys, quad)
-        return total - _lg_stack(cap, xs, ys)[n_plus, n_minus, points]
+        return total - _lg_modes(n_plus, n_minus, xs, ys)
 
     return (polarization,)
 

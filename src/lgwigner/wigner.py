@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import hermite_function_table, laguerre
-from .specfun import _as_finite_array, _check_degree, _check_int, _scalars_as_arrays  # argument rules
+from .specfun import MAX_DEGREE, _z_power, hermite_function_table, laguerre
+from .specfun import _as_finite_array, _check_degree, _check_index, _check_int, _scalars_as_arrays  # argument rules
 
 __all__ = [
     "QuadratureSpec",
@@ -479,44 +479,57 @@ def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
 # closed forms
 
 
-@_scalars_as_arrays(complex, "x", "y")
+def _degrees(**indices) -> list:
+    """Each index, by its name, under the rule of :func:`_check_index` with
+    range [0, MAX_DEGREE]."""
+    return [_check_index(value, name, 0, MAX_DEGREE) for name, value in indices.items()]
+
+
+@_scalars_as_arrays(complex, "x", "y", indices=("j", "k"))
 def wigner_hermite_closed(j: int, k: int, x, y) -> complex | np.ndarray:
     """Closed form of W(h_j, h_k)(x, y) with z = x + iy.
 
     Equal to the LG mode with circular quanta (j, k) evaluated at the
     same point; the two are kept as separate code paths on purpose so
-    they can cross-check each other.
+    they can cross-check each other. ``j`` and ``k`` may be integer arrays:
+    they broadcast against ``x`` and ``y`` as the coordinates broadcast
+    against each other, so one call gives every pair of a stack, each
+    value with the bits of its own scalar-index call.
     """
-    _check_degree(j, "j")
-    _check_degree(k, "k")
+    j, k = _degrees(j=j, k=k)
     z = x + 1j * y
     rho = x * x + y * y
     gauss = np.exp(-0.5 * rho)
     # where the Gaussian underflows the value is 0: zero the point there
     # first, so neither the power of z nor the polynomial can overflow
-    # (in place: z, rho and the value are new arrays of the mask's shape)
+    # (in place: z and rho are new arrays of the mask's shape)
     dead = gauss == 0
     z[dead] = rho[dead] = 0
-    lo, hi = (k, j) if j >= k else (j, k)
-    alpha = hi - lo
-    scale = (-1.0) ** lo / np.sqrt(np.pi)
-    for i in range(lo + 1, hi + 1):
-        scale /= np.sqrt(i)
-    power = z**alpha if j >= k else np.conj(z) ** alpha
-    value = scale * power * gauss * laguerre(lo, alpha, rho)
-    value[dead] = 0
+    lo, alpha = np.minimum(j, k), abs(j - k)
+    hi = lo + alpha
+    scale = np.array((-1.0) ** lo / np.sqrt(np.pi))
+    # divide by sqrt(lo + 1), ..., sqrt(hi) in turn, per index pair
+    for i in range(int(np.min(lo, initial=MAX_DEGREE)) + 1, int(np.max(hi, initial=0)) + 1):
+        np.divide(scale, np.sqrt(i), out=scale, where=(lo < i) & (i <= hi))
+    # in place, in the operand order of scale * power * gauss * L
+    value = _z_power(z, j - k)
+    np.multiply(scale, value, out=value)
+    value *= gauss
+    value *= laguerre(lo, alpha, rho)
+    np.copyto(value, 0, where=dead)
     return value
 
 
-@_scalars_as_arrays(complex, "point")
+@_scalars_as_arrays(complex, "point", indices=("j", "k", "m", "n"))
 def wigner_lg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> complex | np.ndarray:
     """Wigner transform of LG modes as a product of two closed forms.
 
     W2 of the LG pair with circular quanta (j, k) and (m, n) factors into
     closed forms evaluated at quarter-turn-rotated phase-space arguments.
     A point with array fields gives an array of the broadcast shape,
-    scalar fields a ``complex``.
+    scalar fields a ``complex``; index arrays broadcast against the fields.
     """
+    j, k, m, n = _degrees(j=j, k=k, m=m, n=n)
     u1 = (point.x1 + point.xi2) / SQRT2
     v1 = (point.xi1 - point.x2) / SQRT2
     u2 = (point.x1 - point.xi2) / SQRT2
@@ -526,8 +539,7 @@ def wigner_lg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> comp
 
 def _diag_closed(j: int, k: int, q0, q) -> float | np.ndarray:
     """``pi**-1 (-1)**(j+k) exp(-q0) L0_j(q0 + q) L0_k(q0 - q)``, real."""
-    _check_degree(j, "j")
-    _check_degree(k, "k")
+    j, k = _degrees(j=j, k=k)
     gauss = np.exp(-q0)
     # where the Gaussian underflows the value is 0: zero the polynomials'
     # arguments there first, so they cannot overflow (in place: the
@@ -537,34 +549,37 @@ def _diag_closed(j: int, k: int, q0, q) -> float | np.ndarray:
     plus[dead] = minus[dead] = 0
     value = (-1.0) ** (j + k) / np.pi * gauss
     value = value * laguerre(j, 0, plus) * laguerre(k, 0, minus)
-    value[dead] = 0
+    np.copyto(value, 0, where=dead)
     return value
 
 
-@_scalars_as_arrays(float, "point")
+@_scalars_as_arrays(float, "point", indices=("j", "k"))
 def wigner_lg_diag(j: int, k: int, point: PhasePoint4) -> float | np.ndarray:
     """Diagonal LG Wigner transform, always real.
 
     ``pi**-1 (-1)**(j+k) exp(-q0) L0_j(q0 + q2) L0_k(q0 - q2)`` in the
     derived quadratics of the phase-space point. A point with array
     fields gives an array of the broadcast shape; scalar fields a float.
+    Index arrays broadcast against the fields.
     """
     return _diag_closed(j, k, point.q0, point.q2)
 
 
-@_scalars_as_arrays(complex, "point")
+@_scalars_as_arrays(complex, "point", indices=("j", "k", "m", "n"))
 def wigner_hg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> complex | np.ndarray:
     """Wigner transform of HG modes: a product of closed forms per axis.
 
-    Takes array fields and scalar fields as :func:`wigner_lg_closed` does.
+    Takes array fields, scalar fields and index arrays as
+    :func:`wigner_lg_closed` does.
     """
+    j, k, m, n = _degrees(j=j, k=k, m=m, n=n)
     return wigner_hermite_closed(j, m, point.x1, point.xi1) * wigner_hermite_closed(
         k, n, point.x2, point.xi2
     )
 
 
-@_scalars_as_arrays(float, "point")
+@_scalars_as_arrays(float, "point", indices=("j", "k"))
 def wigner_hg_diag(j: int, k: int, point: PhasePoint4) -> float | np.ndarray:
     """Diagonal HG Wigner transform: :func:`wigner_lg_diag` with q3 in
-    place of q2. Always real; array fields give an array."""
+    place of q2. Always real; array fields and index arrays give an array."""
     return _diag_closed(j, k, point.q0, point.q3)
