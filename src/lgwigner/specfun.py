@@ -21,6 +21,12 @@ sequence of elementwise operations on that point alone, so it does not
 depend on the block size or on where the point falls in a block: the
 bits equal those of a one-element call. The row buffers are local to
 each call, so the blocked routines stay pure as well.
+
+The degree of :func:`laguerre` and :func:`hermite_function_derivative`,
+and ``alpha``, may also be integer arrays broadcasting against ``x``.
+Such a call fills a table of every degree up to the largest by the same
+blocked recurrence and picks each point's entry from it, so each value
+keeps the bits of its own scalar-index call.
 """
 
 from __future__ import annotations
@@ -325,13 +331,14 @@ def _index_domain(index: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     evaluate with, which broadcasts against ``x`` to the domain, and for
     each point of the broadcast its flat position in the domain.
     """
-    size = math.prod(np.broadcast_shapes(index.shape, x.shape))
+    shape = np.broadcast_shapes(index.shape, x.shape)
+    size = math.prod(shape)
     if x.size < size:
         values, which = np.unique(index, return_inverse=True)
         if values.size * x.size < size:
             columns = which.reshape(index.shape) * x.size + np.arange(x.size).reshape(x.shape)
             return values.reshape(values.shape + (1,) * x.ndim), columns
-    return index, np.arange(size).reshape(np.broadcast_shapes(index.shape, x.shape))
+    return index, np.arange(size).reshape(shape)
 
 
 def _z_power(z: np.ndarray, e):
