@@ -479,6 +479,21 @@ def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
 # closed forms
 
 
+def _closed_scales() -> np.ndarray:
+    """``out[lo, hi]`` = (-1)**lo / sqrt(pi) divided by sqrt(lo + 1), ...,
+    sqrt(hi) in turn, for lo <= hi <= MAX_DEGREE: the scale of
+    :func:`wigner_hermite_closed`, with no factorials."""
+    lo = np.arange(MAX_DEGREE + 1)
+    out = np.zeros((MAX_DEGREE + 1, MAX_DEGREE + 1))
+    out[lo, lo] = (-1.0) ** lo / np.sqrt(np.pi)
+    for hi in range(1, MAX_DEGREE + 1):
+        out[:hi, hi] = out[:hi, hi - 1] / np.sqrt(hi)
+    return out
+
+
+_CLOSED_SCALE = _closed_scales()
+
+
 def _degrees(**indices) -> list:
     """Each index, by its name, under the rule of :func:`_check_index` with
     range [0, MAX_DEGREE]."""
@@ -506,14 +521,9 @@ def wigner_hermite_closed(j: int, k: int, x, y) -> complex | np.ndarray:
     dead = gauss == 0
     z[dead] = rho[dead] = 0
     lo, alpha = np.minimum(j, k), abs(j - k)
-    hi = lo + alpha
-    scale = np.array((-1.0) ** lo / np.sqrt(np.pi))
-    # divide by sqrt(lo + 1), ..., sqrt(hi) in turn, per index pair
-    for i in range(int(np.min(lo, initial=MAX_DEGREE)) + 1, int(np.max(hi, initial=0)) + 1):
-        np.divide(scale, np.sqrt(i), out=scale, where=(lo < i) & (i <= hi))
     # in place, in the operand order of scale * power * gauss * L
     value = _z_power(z, j - k)
-    np.multiply(scale, value, out=value)
+    np.multiply(_CLOSED_SCALE[lo, lo + alpha], value, out=value)
     value *= gauss
     value *= laguerre(lo, alpha, rho)
     np.copyto(value, 0, where=dead)
