@@ -164,7 +164,8 @@ def test_index_arrays_follow_the_scalar_integer_rule(name):
         # the first offending entry is named, wherever it sits
         for array in ([1, bad, 2], [[bad, 1], [3, bad - 1 if bad < 0 else bad + 1]], np.array([bad], dtype=np.int32)):
             assert _raised(evaluate, array) == want
-    for array, dtype in ((np.array([1.0, 2.0]), "float64"), ([1.5], "float64"), ([True, False], "bool"), (np.array(True), "bool")):
+    wrong_dtypes = [(np.array([1.0, 2.0]), "float64"), ([1.5], "float64"), ([True, False], "bool"), (np.array(True), "bool")]
+    for array, dtype in wrong_dtypes:
         assert _raised(evaluate, array) == (TypeError, f"{arg} must be an integer, got {dtype} array")
     for scalar, kind in ((1.0, "float"), (True, "bool"), ("3", "str")):
         assert _raised(evaluate, scalar) == (TypeError, f"{arg} must be an integer, got {kind}")
