@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import MAX_DEGREE, _check_int, _scalars_as_arrays, laguerre
+from .specfun import MAX_DEGREE, _check_int, _running_quotients, _scalars_as_arrays, laguerre
 
 __all__ = ["BeamParams", "BeamIndex", "BeamGeometry", "beam_geometry", "beam_field"]
 
@@ -85,12 +85,9 @@ def beam_geometry(params: BeamParams, z: float) -> BeamGeometry:
     return BeamGeometry(float(w), float(inv_r), float(np.arctan(z / zr)))
 
 
-def _factorial_ratio(p: int, ell_abs: int) -> float:
-    """p! / (p + ell_abs)! as a running product."""
-    out = 1.0
-    for i in range(p + 1, p + ell_abs + 1):
-        out /= i
-    return out
+#: ``_FACTORIAL_RATIO[p, p + |ell|]`` = p! / (p + |ell|)!, the running
+#: quotient of 1 by each i in (p, p + |ell|], for every BeamIndex.
+_FACTORIAL_RATIO = _running_quotients(np.ones(2 * MAX_DEGREE + 1), np.arange(2 * MAX_DEGREE + 1.0))
 
 
 @_scalars_as_arrays(complex, "r", "phi")
@@ -143,7 +140,7 @@ def beam_field(
         * (r * np.sqrt(2.0) / w) ** ell_abs
         * laguerre(index.p, ell_abs, 2.0 * r * r / (w * w))
     )
-    norm = np.sqrt(2.0 * _factorial_ratio(index.p, ell_abs) / np.pi) / w
+    norm = np.sqrt(2.0 * _FACTORIAL_RATIO[index.p, index.p + ell_abs] / np.pi) / w
     value = np.exp(-1j * total_phase) * radial * norm
     # phi may broadcast the value past the mask's shape
     value[np.broadcast_to(dead, value.shape)] = 0

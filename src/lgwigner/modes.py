@@ -20,7 +20,7 @@ import numpy as np
 from .specfun import (
     MAX_DEGREE,
     _check_degree,
-    _check_index,
+    _running_quotients,
     _scalars_as_arrays,
     _z_power,
     hermite_function,
@@ -149,16 +149,10 @@ _OP_POINTWISE = {
 }
 
 
-def _sqrt_factorial_ratios() -> np.ndarray:
-    """``out[lo, hi]`` = sqrt(lo!/hi!) for lo <= hi <= MAX_DEGREE, each the
-    running product of 1/sqrt(i) over lo < i <= hi (no factorials)."""
-    out = np.ones((MAX_DEGREE + 1, MAX_DEGREE + 1))
-    for hi in range(1, MAX_DEGREE + 1):
-        out[:hi, hi] = out[:hi, hi - 1] / np.sqrt(hi)
-    return out
-
-
-_SQRT_FACTORIAL_RATIO = _sqrt_factorial_ratios()
+#: ``_SQRT_FACTORIAL_RATIO[lo, hi]`` = sqrt(lo!/hi!) for lo <= hi <=
+#: MAX_DEGREE, the running quotient of 1 by sqrt(i) over lo < i <= hi (no
+#: factorials).
+_SQRT_FACTORIAL_RATIO = _running_quotients(np.ones(MAX_DEGREE + 1), np.sqrt(np.arange(MAX_DEGREE + 1)))
 
 
 @_scalars_as_arrays(float, "x", "y")
@@ -168,12 +162,10 @@ def hg_mode(index: ModeIndex, x, y) -> float | np.ndarray:
     return hermite_function(index.first, x) * hermite_function(index.second, y)
 
 
-@_scalars_as_arrays(complex, "x", "y", indices=("n_plus", "n_minus"))
+@_scalars_as_arrays(complex, "x", "y", indices=dict.fromkeys(("n_plus", "n_minus"), MAX_DEGREE))
 def _lg_modes(n_plus, n_minus, x, y) -> complex | np.ndarray:
     """:func:`lg_mode` at circular quanta ``(n_plus, n_minus)``, integers or
     integer arrays broadcasting against the points."""
-    n_plus = _check_index(n_plus, "n_plus", 0, MAX_DEGREE)
-    n_minus = _check_index(n_minus, "n_minus", 0, MAX_DEGREE)
     lo, alpha = np.minimum(n_plus, n_minus), abs(n_plus - n_minus)
     z = x + 1j * y
     rho = x * x + y * y

@@ -9,8 +9,15 @@ and are pure, so they are safe to call concurrently.
 The module also holds the package's argument rules, each written once:
 ``_check_int`` for every integer argument (degrees, counts, indices),
 ``_check_index`` for an index that may also be an integer array, and
-``_scalars_as_arrays`` for every pointwise evaluator's coordinates,
-which must be finite and are refused under the name the caller passed.
+``_scalars_as_arrays``, where every pointwise evaluator declares its
+coordinates, which must be finite and are refused under the name the
+caller passed, and its integer indices, which the decorator alone passes
+through ``_check_index``. Calls inside the package go through the public
+names (``laguerre``, never its undecorated kernel), so an inner layer
+checks again what its caller checked: ``perfbench/tracer.py`` counts the
+calls per layer by rebinding those names. ``_running_quotients`` is the
+one builder of the factorial-ratio tables of the closed forms, the LG
+modes and the beam.
 
 The Hermite-function and Laguerre recurrences run blocked: they walk the
 flattened points in blocks of ``_BLOCK`` and, within a block, update a
@@ -71,17 +78,13 @@ def _check_int(value, name: str, lo: int, hi: int | None = None) -> None:
         raise ValueError(f"{name} {value} outside supported range [{lo}, {top}")
 
 
-#: The argument types :func:`_check_index` reads as index arrays.
-_INDEX_ARRAYS = (np.ndarray, list, tuple)
-
-
 def _check_index(value, name: str, lo: int, hi: int | None = None):
     """The integer rule for an index that broadcasts like a coordinate:
-    an integer, or an array_like of integers, every entry in ``[lo, hi]``.
-    A float or bool array raises TypeError and an entry out of range
-    ValueError, in ``_check_int``'s format, naming the first such entry.
-    Returns a scalar as an int and an array as an int64 array."""
-    if not isinstance(value, _INDEX_ARRAYS):
+    an integer, or an ndarray, list or tuple of integers, every entry in
+    ``[lo, hi]``. A float or bool array raises TypeError and an entry out
+    of range ValueError, in ``_check_int``'s format, naming the first such
+    entry. Returns a scalar as an int and an array as an int64 array."""
+    if not isinstance(value, (np.ndarray, list, tuple)):
         _check_int(value, name, lo, hi)
         return int(value)
     arr = np.asarray(value)
@@ -135,6 +138,17 @@ def _ending_in(out: np.ndarray, work: np.ndarray, n: int) -> list:
     return slots
 
 
+def _running_quotients(diagonal: np.ndarray, divisors: np.ndarray) -> np.ndarray:
+    """``out[lo, hi]`` = ``diagonal[lo]`` divided by ``divisors[lo + 1]``,
+    ..., ``divisors[hi]`` in turn, for lo <= hi < len(diagonal), and 0
+    below the diagonal: the package's factorial-ratio tables, built with
+    no factorial, so nothing overflows."""
+    out = np.diag(diagonal)
+    for hi in range(1, len(diagonal)):
+        out[:hi, hi] = out[:hi, hi - 1] / divisors[hi]
+    return out
+
+
 def _fields(value) -> list:
     """A coordinate argument's values: a dataclass point's fields, or itself."""
     return list(vars(value).values()) if dataclasses.is_dataclass(value) else [value]
@@ -151,43 +165,45 @@ def _one_element(value):
     return type(value)(*ones) if dataclasses.is_dataclass(value) else ones[0]
 
 
-def _scalars_as_arrays(kind: type, *coords: str, indices: tuple = ()):
-    """Decorator giving an array kernel the package's coordinate rule and
-    its one scalar rule.
+def _scalars_as_arrays(kind: type, *coords: str, indices: dict | None = None):
+    """Decorator giving an array kernel the package's coordinate rule, its
+    index rule and its one scalar rule.
 
     Each argument named in ``coords`` (by position or keyword) reaches the
     kernel as a float array, refused with a ValueError naming it unless
     every value is finite; a dataclass point is passed as it is, since it
-    checks its own fields. The arguments named in ``indices`` are integer
-    indices that may be arrays broadcasting against the coordinates; they
-    reach the kernel as they are, and the kernel checks them. When every
-    coordinate is a scalar, 0-d arrays included, and a dataclass point
-    counts by its fields, the kernel runs on one-element arrays and, when
-    every index is a scalar too, returns its single value as ``kind``.
-    Numpy rounds scalar arithmetic apart from array arithmetic, so this
-    gives a point the same bits alone as in an array.
+    checks its own fields. ``indices`` maps the name of each integer index
+    to its largest value, ``MAX_DEGREE`` or None for no bound; each such
+    argument reaches the kernel through ``_check_index(value, name, 0,
+    top)``, an int or an int64 array broadcasting against the coordinates,
+    so this is the one place an evaluator's indices are declared and
+    checked. When every coordinate is a scalar, 0-d arrays included, and
+    a dataclass point counts by its fields, the kernel runs on one-element
+    arrays and, when every index is a scalar too, returns its single value
+    as ``kind``. Numpy rounds scalar arithmetic apart from array
+    arithmetic, so this gives a point the same bits alone as in an array.
     """
+    indices = indices or {}
 
     def decorate(kernel):
         names = list(inspect.signature(kernel).parameters)
-        slots = {names.index(name): name for name in coords}
 
-        def each_coord(convert, args, kwargs):
-            args = [convert(v, slots[i]) if i in slots else v for i, v in enumerate(args)]
-            kwargs = {k: convert(v, k) if k in coords else v for k, v in kwargs.items()}
+        def each(convert, which, args, kwargs):
+            args = [convert(v, names[i]) if i < len(names) and names[i] in which else v for i, v in enumerate(args)]
+            kwargs = {k: convert(v, k) if k in which else v for k, v in kwargs.items()}
             return args, kwargs
 
         @functools.wraps(kernel)
         def evaluate(*args, **kwargs):
-            args, kwargs = each_coord(_finite, args, kwargs)
+            args, kwargs = each(_finite, coords, args, kwargs)
+            args, kwargs = each(lambda v, name: _check_index(v, name, 0, indices[name]), indices, args, kwargs)
             named = dict(zip(names, args), **kwargs)
             if any(name not in named or any(map(np.ndim, _fields(named[name]))) for name in coords):
                 return kernel(*args, **kwargs)
-            args, kwargs = each_coord(lambda v, name: _one_element(v), args, kwargs)
+            args, kwargs = each(lambda v, name: _one_element(v), coords, args, kwargs)
             value = kernel(*args, **kwargs)
             # one-element coordinates broadcast to an index array's shape
-            arrays = (named.get(name) for name in indices)
-            return value if any(isinstance(v, _INDEX_ARRAYS) and np.ndim(v) for v in arrays) else kind(value.item())
+            return value if any(isinstance(named.get(name), np.ndarray) for name in indices) else kind(value.item())
 
         return evaluate
 
@@ -287,7 +303,7 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     return _blockwise(arr, 1, lambda x, out, work: _hermite_rows(nmax, x, out, work[0]), (nmax + 1,))
 
 
-@_scalars_as_arrays(float, "x", indices=("n",))
+@_scalars_as_arrays(float, "x", indices={"n": MAX_DEGREE})
 def hermite_function_derivative(n: int, x) -> float | np.ndarray:
     """Derivative h_n'(x) from the ladder relation.
 
@@ -298,7 +314,6 @@ def hermite_function_derivative(n: int, x) -> float | np.ndarray:
     plus one serves every point, each with the bits of a scalar-index
     call.
     """
-    n = _check_index(n, "n", 0, MAX_DEGREE)
     if isinstance(n, np.ndarray):
         top = int(np.max(n, initial=0)) + 1
         table = _blockwise(x, 1, lambda x, out, work: _hermite_rows(top, x, out, work[0]), (top + 1,))
@@ -385,7 +400,7 @@ def _laguerre_rows(nmax: int, alpha, x: np.ndarray, rows, tmp: np.ndarray) -> No
         fall += 1.0
 
 
-@_scalars_as_arrays(float, "x", indices=("n", "alpha"))
+@_scalars_as_arrays(float, "x", indices={"n": MAX_DEGREE, "alpha": None})
 def laguerre(n: int, alpha: int, x) -> float | np.ndarray:
     """Generalized Laguerre polynomial L^alpha_n(x) for integer alpha >= 0.
 
@@ -410,8 +425,6 @@ def laguerre(n: int, alpha: int, x) -> float | np.ndarray:
     3.1e-15, as it is when those pairs are mixed point by point in one
     call.
     """
-    n = _check_index(n, "n", 0, MAX_DEGREE)
-    alpha = _check_index(alpha, "alpha", 0)
     if not isinstance(n, np.ndarray) and not isinstance(alpha, np.ndarray):
         # L_n lands in out; the two other slots and tmp are work rows
         return _blockwise(x, 3, lambda x, out, work: _laguerre_rows(n, alpha, x, _ending_in(out, work, n), work[2]))

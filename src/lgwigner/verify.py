@@ -461,14 +461,15 @@ def _suite_product_theorem(seed: int) -> tuple:
 
     def product(count, field, closed, degree):
         """Oracle against closed form at ``count`` drawn index quadruples and
-        points; one ``wigner2d`` call per point, since it takes one point."""
+        points; one ``wigner2d`` call per point, since it takes one point,
+        and one closed-form call with per-point indices."""
         indices, coords = _draws(rng, count, 4, 4, 4)
-        dev = []
+        oracle = []
         for (j, k, m, n), point in zip(indices.tolist(), coords):
             pt = PhasePoint4(*point)
             quad = _sized(degree(j, k, m, n), pt.xi1, pt.xi2)
-            dev.append(wigner2d(field(j, k), field(m, n), pt, quad) - closed(j, k, m, n, pt))
-        return np.array(dev)
+            oracle.append(wigner2d(field(j, k), field(m, n), pt, quad))
+        return np.array(oracle) - closed(*indices.T, PhasePoint4(*coords.T))
 
     def diagonal(closed, diag):
         """Closed form at (j, k, j, k) against the diagonal form at drawn

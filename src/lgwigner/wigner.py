@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import MAX_DEGREE, _z_power, hermite_function_table, laguerre
-from .specfun import _as_finite_array, _check_degree, _check_index, _check_int, _scalars_as_arrays  # argument rules
+from .specfun import MAX_DEGREE, _running_quotients, _z_power, hermite_function_table, laguerre
+from .specfun import _as_finite_array, _check_degree, _check_int, _scalars_as_arrays  # argument rules
 
 __all__ = [
     "QuadratureSpec",
@@ -479,28 +479,14 @@ def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
 # closed forms
 
 
-def _closed_scales() -> np.ndarray:
-    """``out[lo, hi]`` = (-1)**lo / sqrt(pi) divided by sqrt(lo + 1), ...,
-    sqrt(hi) in turn, for lo <= hi <= MAX_DEGREE: the scale of
-    :func:`wigner_hermite_closed`, with no factorials."""
-    lo = np.arange(MAX_DEGREE + 1)
-    out = np.zeros((MAX_DEGREE + 1, MAX_DEGREE + 1))
-    out[lo, lo] = (-1.0) ** lo / np.sqrt(np.pi)
-    for hi in range(1, MAX_DEGREE + 1):
-        out[:hi, hi] = out[:hi, hi - 1] / np.sqrt(hi)
-    return out
+#: ``_CLOSED_SCALE[lo, hi]`` = (-1)**lo / sqrt(pi) divided by sqrt(lo + 1),
+#: ..., sqrt(hi) in turn, for lo <= hi <= MAX_DEGREE: the scale of
+#: :func:`wigner_hermite_closed`, with no factorials.
+_DEGREES = np.arange(MAX_DEGREE + 1)
+_CLOSED_SCALE = _running_quotients((-1.0) ** _DEGREES / np.sqrt(np.pi), np.sqrt(_DEGREES))
 
 
-_CLOSED_SCALE = _closed_scales()
-
-
-def _degrees(**indices) -> list:
-    """Each index, by its name, under the rule of :func:`_check_index` with
-    range [0, MAX_DEGREE]."""
-    return [_check_index(value, name, 0, MAX_DEGREE) for name, value in indices.items()]
-
-
-@_scalars_as_arrays(complex, "x", "y", indices=("j", "k"))
+@_scalars_as_arrays(complex, "x", "y", indices=dict.fromkeys(("j", "k"), MAX_DEGREE))
 def wigner_hermite_closed(j: int, k: int, x, y) -> complex | np.ndarray:
     """Closed form of W(h_j, h_k)(x, y) with z = x + iy.
 
@@ -511,7 +497,6 @@ def wigner_hermite_closed(j: int, k: int, x, y) -> complex | np.ndarray:
     against each other, so one call gives every pair of a stack, each
     value with the bits of its own scalar-index call.
     """
-    j, k = _degrees(j=j, k=k)
     z = x + 1j * y
     rho = x * x + y * y
     gauss = np.exp(-0.5 * rho)
@@ -530,7 +515,7 @@ def wigner_hermite_closed(j: int, k: int, x, y) -> complex | np.ndarray:
     return value
 
 
-@_scalars_as_arrays(complex, "point", indices=("j", "k", "m", "n"))
+@_scalars_as_arrays(complex, "point", indices=dict.fromkeys(("j", "k", "m", "n"), MAX_DEGREE))
 def wigner_lg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> complex | np.ndarray:
     """Wigner transform of LG modes as a product of two closed forms.
 
@@ -539,7 +524,6 @@ def wigner_lg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> comp
     A point with array fields gives an array of the broadcast shape,
     scalar fields a ``complex``; index arrays broadcast against the fields.
     """
-    j, k, m, n = _degrees(j=j, k=k, m=m, n=n)
     u1 = (point.x1 + point.xi2) / SQRT2
     v1 = (point.xi1 - point.x2) / SQRT2
     u2 = (point.x1 - point.xi2) / SQRT2
@@ -549,7 +533,6 @@ def wigner_lg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> comp
 
 def _diag_closed(j: int, k: int, q0, q) -> float | np.ndarray:
     """``pi**-1 (-1)**(j+k) exp(-q0) L0_j(q0 + q) L0_k(q0 - q)``, real."""
-    j, k = _degrees(j=j, k=k)
     gauss = np.exp(-q0)
     # where the Gaussian underflows the value is 0: zero the polynomials'
     # arguments there first, so they cannot overflow (in place: the
@@ -563,7 +546,7 @@ def _diag_closed(j: int, k: int, q0, q) -> float | np.ndarray:
     return value
 
 
-@_scalars_as_arrays(float, "point", indices=("j", "k"))
+@_scalars_as_arrays(float, "point", indices=dict.fromkeys(("j", "k"), MAX_DEGREE))
 def wigner_lg_diag(j: int, k: int, point: PhasePoint4) -> float | np.ndarray:
     """Diagonal LG Wigner transform, always real.
 
@@ -575,20 +558,19 @@ def wigner_lg_diag(j: int, k: int, point: PhasePoint4) -> float | np.ndarray:
     return _diag_closed(j, k, point.q0, point.q2)
 
 
-@_scalars_as_arrays(complex, "point", indices=("j", "k", "m", "n"))
+@_scalars_as_arrays(complex, "point", indices=dict.fromkeys(("j", "k", "m", "n"), MAX_DEGREE))
 def wigner_hg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> complex | np.ndarray:
     """Wigner transform of HG modes: a product of closed forms per axis.
 
     Takes array fields, scalar fields and index arrays as
     :func:`wigner_lg_closed` does.
     """
-    j, k, m, n = _degrees(j=j, k=k, m=m, n=n)
     return wigner_hermite_closed(j, m, point.x1, point.xi1) * wigner_hermite_closed(
         k, n, point.x2, point.xi2
     )
 
 
-@_scalars_as_arrays(float, "point", indices=("j", "k"))
+@_scalars_as_arrays(float, "point", indices=dict.fromkeys(("j", "k"), MAX_DEGREE))
 def wigner_hg_diag(j: int, k: int, point: PhasePoint4) -> float | np.ndarray:
     """Diagonal HG Wigner transform: :func:`wigner_lg_diag` with q3 in
     place of q2. Always real; array fields and index arrays give an array."""

@@ -196,3 +196,61 @@ def test_laguerre_mixed_pairs_in_one_call_keep_the_claimed_accuracy():
             scale = mpmath.exp(-t / 2) * t ** (mpmath.mpf(b) / 2) * norm
             worst = max(worst, abs(float(scale * (mpmath.mpf(value) - mpmath.laguerre(a, b, t)))))
     assert worst <= 3.1e-15
+
+
+_POINT4 = PhasePoint4(0.1, 0.2, 0.3, 0.4)
+
+#: Valid arguments of each evaluator whose decorator declares indices, in
+#: signature order.
+_ARGS = {
+    laguerre: {"n": 3, "alpha": 2, "x": 0.5},
+    hermite_function_derivative: {"n": 3, "x": 0.5},
+    _lg_modes: {"n_plus": 1, "n_minus": 2, "x": 0.5, "y": 0.2},
+    wigner_hermite_closed: {"j": 1, "k": 2, "x": 0.5, "y": 0.2},
+    wigner_lg_closed: {"j": 1, "k": 2, "m": 0, "n": 3, "point": _POINT4},
+    wigner_hg_closed: {"j": 1, "k": 2, "m": 0, "n": 3, "point": _POINT4},
+    wigner_lg_diag: {"j": 1, "k": 2, "point": _POINT4},
+    wigner_hg_diag: {"j": 1, "k": 2, "point": _POINT4},
+}
+
+#: Every (evaluator, index, largest value) that a decorator declares.
+_DECLARED = [
+    (laguerre, "n", MAX_DEGREE),
+    (laguerre, "alpha", None),
+    (hermite_function_derivative, "n", MAX_DEGREE),
+    (_lg_modes, "n_plus", MAX_DEGREE),
+    (_lg_modes, "n_minus", MAX_DEGREE),
+    (wigner_hermite_closed, "j", MAX_DEGREE),
+    (wigner_hermite_closed, "k", MAX_DEGREE),
+    (wigner_lg_closed, "j", MAX_DEGREE),
+    (wigner_lg_closed, "k", MAX_DEGREE),
+    (wigner_lg_closed, "m", MAX_DEGREE),
+    (wigner_lg_closed, "n", MAX_DEGREE),
+    (wigner_hg_closed, "j", MAX_DEGREE),
+    (wigner_hg_closed, "k", MAX_DEGREE),
+    (wigner_hg_closed, "m", MAX_DEGREE),
+    (wigner_hg_closed, "n", MAX_DEGREE),
+    (wigner_lg_diag, "j", MAX_DEGREE),
+    (wigner_lg_diag, "k", MAX_DEGREE),
+    (wigner_hg_diag, "j", MAX_DEGREE),
+    (wigner_hg_diag, "k", MAX_DEGREE),
+]
+
+
+@pytest.mark.parametrize("form, name, top", _DECLARED, ids=[f"{f.__name__}-{n}" for f, n, _ in _DECLARED])
+def test_every_declared_index_is_checked_by_position_and_by_keyword(form, name, top):
+    def positional(value):
+        return form(*dict(_ARGS[form], **{name: value}).values())
+
+    def keyword(value):
+        return form(**dict(_ARGS[form], **{name: value}))
+
+    bound = "inf)" if top is None else f"{top}]"
+    for call in (positional, keyword):
+        for bad in [-1] + ([] if top is None else [top + 1]):
+            assert _raised(call, [1, bad, 2]) == (ValueError, f"{name} {bad} outside supported range [0, {bound}")
+        assert _raised(call, np.array([1.0, 2.0])) == (TypeError, f"{name} must be an integer, got float64 array")
+    values = np.array([[0, 3], [2, 1]])
+    want = positional(values)
+    assert want.shape == (2, 2)
+    assert _bits(keyword(values)) == _bits(want)

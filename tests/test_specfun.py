@@ -312,3 +312,34 @@ def test_scalar_in_scalar_out():
     assert isinstance(specfun.hermite_function(4, 0.3), float)
     out = specfun.hermite_function(4, np.array([0.3, 0.4]))
     assert isinstance(out, np.ndarray) and out.shape == (2,)
+
+
+def test_running_quotient_tables_match_exact_factorial_ratios():
+    """Every entry the three routes read from their running-quotient tables
+    against 40-digit mpmath: the closed-form scale (-1)**lo sqrt(lo!/hi!)
+    / sqrt(pi) and the LG amplitude sqrt(lo!/hi!) for lo <= hi <=
+    MAX_DEGREE, and the beam's p!/(p + |ell|)! for p, |ell| <= MAX_DEGREE."""
+    mpmath = pytest.importorskip("mpmath")
+    from lgwigner.beam import _FACTORIAL_RATIO
+    from lgwigner.modes import _SQRT_FACTORIAL_RATIO
+    from lgwigner.wigner import _CLOSED_SCALE
+
+    top = specfun.MAX_DEGREE
+    worst = 0.0
+    with mpmath.workdps(40):
+        factorial = [mpmath.factorial(i) for i in range(2 * top + 1)]
+
+        def relative(got, want):
+            return abs(float((mpmath.mpf(float(got)) - want) / want))
+
+        for lo in range(top + 1):
+            for hi in range(lo, top + 1):
+                root = mpmath.sqrt(factorial[lo] / factorial[hi])
+                worst = max(
+                    worst,
+                    relative(_CLOSED_SCALE[lo, hi], (-1) ** lo * root / mpmath.sqrt(mpmath.pi)),
+                    relative(_SQRT_FACTORIAL_RATIO[lo, hi], root),
+                )
+            for ell in range(top + 1):
+                worst = max(worst, relative(_FACTORIAL_RATIO[lo, lo + ell], factorial[lo] / factorial[lo + ell]))
+    assert worst <= 2e-15
