@@ -86,8 +86,11 @@ def beam_geometry(params: BeamParams, z: float) -> BeamGeometry:
 
 
 #: ``_FACTORIAL_RATIO[p, p + |ell|]`` = p! / (p + |ell|)!, the running
-#: quotient of 1 by each i in (p, p + |ell|], for every BeamIndex.
-_FACTORIAL_RATIO = _running_quotients(np.ones(2 * MAX_DEGREE + 1), np.arange(2 * MAX_DEGREE + 1.0))
+#: quotient of 1 by each i in (p, p + |ell|], for every BeamIndex: the
+#: rows p <= MAX_DEGREE of the square table (each row is built alone).
+_FACTORIAL_RATIO = _running_quotients(np.ones(2 * MAX_DEGREE + 1), np.arange(2 * MAX_DEGREE + 1.0))[
+    : MAX_DEGREE + 1
+].copy()
 
 
 @_scalars_as_arrays(complex, "r", "phi")

@@ -274,8 +274,9 @@ def _superposition_2d(coeffs: np.ndarray):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         tu = hermite_function_table(deg, u.ravel())
         tv = hermite_function_table(deg, v.ravel())
-        # one contraction, with no (batch, j, k, points) intermediate
-        out = np.einsum("...jk,jn,kn->...n", coeffs, tu, tv)
+        # one matrix product over k, then a sum over j, with no
+        # (batch, j, k, points) intermediate
+        out = np.einsum("...jn,jn->...n", coeffs @ tv, tu)
         return out.reshape(coeffs.shape[:-2] + u.shape)
 
     return f
@@ -333,7 +334,7 @@ def _suite_properties(seed: int) -> tuple:
     def total_integral():
         m, n = _all_pairs(deg)
         grids = wigner1d_grid(_h_stack(m), _h_stack(n), p_axis, p_axis, _sized(2 * deg, p_axis))
-        totals = np.einsum("i,mnij,j->mn", p_w, grids, p_w)
+        totals = grids @ p_w @ p_w
         return totals - 2.0 * np.sqrt(np.pi) * np.eye(deg + 1)
 
     return hermiticity, xi_marginal, x_marginal, total_integral

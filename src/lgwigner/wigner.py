@@ -267,25 +267,36 @@ def _integrate_rows(integrand, xs: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
     ``integrand`` maps a block of ``xs`` to weighted integrand samples of
     shape ``batch + (len(block), nodes)``; each block is flattened into a
-    single matrix product with the ``(nodes, columns)`` phase matrix, and
-    the result has shape ``batch + (len(xs), columns)``. The first block
-    is one row (none for empty ``xs``), whose size sets the rows per
-    block for the rest.
+    single matrix product with the ``(nodes, columns)`` phase matrix,
+    written into the result of shape ``batch + (len(xs), columns)``. A
+    complex block takes ``flat @ phase``; a real one takes two real
+    products, with the phase's cosine and sine parts, which go straight
+    into the real and imaginary parts of the result, so it is never cast
+    to complex. The first block is one row (none for empty ``xs``), whose
+    size sets the rows per block for the rest.
     """
     nodes, columns = phase.shape
+    cos, sin = np.ascontiguousarray(phase.real), np.ascontiguousarray(phase.imag)
 
     def block(rows):
         amp = integrand(rows)
-        amp = np.broadcast_to(amp, np.broadcast_shapes(amp.shape, (len(rows), nodes)))
-        return (amp.reshape(-1, nodes) @ phase).reshape(amp.shape[:-1] + (columns,))
+        return np.broadcast_to(amp, np.broadcast_shapes(amp.shape, (len(rows), nodes)))
+
+    def contract(amp, dest):
+        flat = amp.reshape(-1, nodes)
+        if np.iscomplexobj(flat):
+            dest[...] = (flat @ phase).reshape(dest.shape)
+        else:
+            dest.real = (flat @ cos).reshape(dest.shape)
+            dest.imag = (flat @ sin).reshape(dest.shape)
 
     first = block(xs[:1])
     batch = first.shape[:-2]
     out = np.empty(batch + (xs.size, columns), dtype=complex)
-    out[..., :1, :] = first
+    contract(first, out[..., :1, :])
     rows = max(1, _BLOCK_ELEMENTS // max(1, math.prod(batch) * nodes))
     for start in range(1, xs.size, rows):
-        out[..., start : start + rows, :] = block(xs[start : start + rows])
+        contract(block(xs[start : start + rows]), out[..., start : start + rows, :])
     out /= np.sqrt(_TWO_PI)
     return out
 
@@ -363,41 +374,39 @@ def wigner2d(f, g, point: PhasePoint4, quad: QuadratureSpec | None = None) -> co
 # rotate + partial-FFT realization
 
 
-def _shift_ramp(count: int, spacing: float, shift: np.ndarray, axis: int) -> np.ndarray:
+def _shift_ramp(count: int, spacing: float, shift: np.ndarray) -> np.ndarray:
     """``exp(i k shift)`` for the FFT frequencies k = m dk of ``count``
     samples at ``spacing`` (``dk = 2 pi / (count spacing)``), with m
-    ascending from ``-(count // 2)`` along ``axis``; ``shift`` varies along
-    the other axis (shape ``(c,)`` for axis 0, ``(c, 1)`` for axis 1).
+    ascending from ``-(count // 2)`` along the last axis; ``shift``, of
+    shape ``(c, 1)``, varies along the first.
 
     m = hi + lo, with hi a multiple of ``width`` ~ sqrt(count) and
     0 <= lo < width, so the ramp is the outer product of two tables of
     about sqrt(count) exponentials each. It may run up to ``width - 1``
-    entries past ``count`` along ``axis``; those are not used.
+    columns past ``count``; those are not used.
     """
     dk = _TWO_PI / (count * spacing)
     width = math.isqrt(count - 1) + 1
 
-    def table(m):  # exp(i m dk shift), m along axis
-        return np.exp(1j * np.expand_dims(dk * m, 1 - axis) * shift)
+    def table(m):  # exp(i m dk shift), m along the last axis
+        return np.exp(1j * (dk * m) * shift)
 
     hi = table(width * np.arange(-(-count // width)) - count // 2)
     lo = table(np.arange(width))
-    ramp = np.expand_dims(hi, axis + 1) * np.expand_dims(lo, axis)
-    return ramp.reshape(hi.shape[:axis] + (-1,) + hi.shape[axis + 1 :])
+    return (hi[:, :, None] * lo[:, None, :]).reshape(len(shift), -1)
 
 
-def _shear(values: np.ndarray, axis: int, ramp: np.ndarray) -> np.ndarray:
-    """Samples of g(t + shift) from the samples of g(t) along ``axis`` of
-    ``values``, by the Fourier shift theorem, with the ``_shift_ramp`` of
-    that axis; the spectrum, in ``fftfreq`` order (m = 0, 1, ..., then the
-    negative m), is multiplied by the ramp in place, one half at a time."""
-    spectrum = np.fft.fft(values, axis=axis)
-    count = values.shape[axis]
+def _shear(rows: np.ndarray, ramp: np.ndarray) -> None:
+    """Replace each row of samples of g(t) by the samples of g(t + shift),
+    in place, by the Fourier shift theorem, with the ``_shift_ramp`` of the
+    rows; the spectrum, in ``fftfreq`` order (m = 0, 1, ..., then the
+    negative m), is multiplied by the ramp one half at a time."""
+    np.fft.fft(rows, axis=1, out=rows)
+    count = rows.shape[1]
     nonneg, neg = (count + 1) // 2, count // 2
-    spec, ramp = np.moveaxis(spectrum, axis, 0), np.moveaxis(ramp, axis, 0)
-    spec[:nonneg] *= ramp[neg:count]
-    spec[nonneg:] *= ramp[:neg]
-    return np.fft.ifft(spectrum, axis=axis)
+    rows[:, :nonneg] *= ramp[:, neg:count]
+    rows[:, nonneg:] *= ramp[:, :neg]
+    np.fft.ifft(rows, axis=1, out=rows)
 
 
 def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
@@ -418,16 +427,21 @@ def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
     negligible anyway. The partial transform is a scaled FFT whose
     frequency axis honors the continuous ``(2 pi)**(-1/2)`` normalization.
 
-    The phase ramps cost little next to the FFTs. The two x shears share
-    one ramp (same padded length, spacing and shifts). Each ramp
-    ``exp(i k shift)`` is the product of two tables of about sqrt(N)
-    exponentials per shift, N the padded count, rather than N of them;
-    the spectra, and the output by its scale-and-phase vector, are
-    multiplied in place. The ramps agree with the direct
-    ``exp(i k shift)`` to within 2 ulps of the largest ``|k shift|``
-    (2.3e-13 at 512 x 512 over [-8, 8], where it reaches 850): that is
-    the rounding of the direct form's own angle, and the output moves
-    from the direct form's by about 2e-16.
+    The seven FFTs set the cost. Each runs in place along the last,
+    contiguous axis of its array: the two x shears work on the transposed
+    samples, of shape (len(y), padded len(x)), and the y shear on
+    (padded len(x), padded len(y)). One copy joins each pair of stages
+    and transposes the samples, and the zero-filled buffers it copies
+    into are the padding; the input grid is only read. The phase ramps
+    cost little next to the FFTs. The two x shears share one ramp (same
+    padded length, spacing and shifts). Each ramp ``exp(i k shift)`` is
+    the product of two tables of about sqrt(N) exponentials per shift, N
+    the padded count, rather than N of them; the spectra, and the output
+    by its scale-and-phase vector, are multiplied in place. The ramps
+    agree with the direct ``exp(i k shift)`` to within 2 ulps of the
+    largest ``|k shift|`` (2.3e-13 at 512 x 512 over [-8, 8], where it
+    reaches 850): that is the rounding of the direct form's own angle,
+    and the output moves from the direct form's by about 2e-16.
 
     The input grid must be symmetric about the origin in both axes; the
     spacings and counts of the two axes may differ. The output keeps the
@@ -457,20 +471,26 @@ def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
     px, py = nx // 4, n // 4
     x_padded = x[0] + dx * np.arange(-px, nx + px)
     tan, sin = np.tan(np.pi / 8), np.sin(np.pi / 4)
-    # a shear along x keeps zero columns zero and acts on each column
-    # alone, so the first runs on the input's columns and the last on the
-    # output's: both have the same padded length, spacing and shifts, so
-    # they share one ramp
-    x_ramp = _shift_ramp(nx + 2 * px, dx, -tan * p, 0)
-    sheared = _shear(np.pad(grid.values, ((px, px), (0, 0))), 0, x_ramp)
-    y_ramp = _shift_ramp(n + 2 * py, dp, sin * x_padded[:, None], 1)
-    # rebound before the shear, so the unpadded array is freed first
-    sheared = np.pad(sheared, ((0, 0), (py, py)))
-    sheared = _shear(sheared, 1, y_ramp)
-    rotated = _shear(sheared[:, py : py + n], 0, x_ramp)[px : px + nx]
+    # the x shears run on the transposed samples, so that every FFT runs
+    # along the last, contiguous axis; a shear along x keeps zero columns
+    # zero and acts on each column alone, so the first runs on the input's
+    # columns and the last on the output's: both have the same padded
+    # length, spacing and shifts, so they share one ramp
+    x_ramp = _shift_ramp(nx + 2 * px, dx, -tan * p[:, None])
+    columns = np.zeros((n, nx + 2 * px), dtype=complex)
+    columns[:, px : px + nx] = grid.values.T
+    _shear(columns, x_ramp)
+    rows = np.zeros((nx + 2 * px, n + 2 * py), dtype=complex)
+    rows[:, py : py + n] = columns.T
+    _shear(rows, _shift_ramp(n + 2 * py, dp, sin * x_padded[:, None]))
+    columns[...] = rows[:, py : py + n].T
+    del rows
+    _shear(columns, x_ramp)
+    rotated = np.ascontiguousarray(columns[:, px : px + nx].T)
 
     freqs = _TWO_PI * (np.arange(n) - n // 2) / (n * dp)
-    out = np.fft.fftshift(np.fft.fft(rotated, axis=1), axes=1)
+    np.fft.fft(rotated, axis=1, out=rotated)
+    out = np.fft.fftshift(rotated, axes=1)
     out *= (dp / np.sqrt(_TWO_PI)) * np.exp(-1j * p[0] * freqs)
     return Grid2D(grid.x_axis, (float(freqs[0]), float(freqs[-1]), n), out)
 

@@ -144,6 +144,9 @@ def test_criterion_12_beam(report):
 # change that says why; it is written by
 #   python -c "import json; from lgwigner.verify import run_suite; print(json.dumps(
 #   {c.name: c.max_abs_err for c in run_suite('all', 7, 'full').checks}, indent=1))"
+# with 2 OpenBLAS threads (the default on 2 CPUs). The last bits of some
+# entries depend on the BLAS thread count: with OPENBLAS_NUM_THREADS=1,
+# weyl_pairing_x and weyl_pairing_xi move by up to 1.5e-7 of their value.
 BASELINE = Path(__file__).parent / "data" / "verify_errors_seed7_full.json"
 
 

@@ -214,6 +214,25 @@ def test_rotfft_check_fails_on_a_conjugated_shift_ramp(monkeypatch):
     assert not report["rotfft_maps_hg_to_lg"].passed
 
 
+@pytest.mark.parametrize("shape", [(2, 5, 5), (4, 4)])
+def test_superposition_2d_matches_the_explicit_double_sum(shape):
+    # the field on both sides of wtilde_inner_products (a stack) and in
+    # rotfft_parseval (one superposition); a j <-> k swap of its
+    # contraction passes every suite
+    rng = np.random.default_rng(3)
+    coeffs = verify._random_coeffs(rng, shape)
+    u, v = rng.uniform(-3.0, 3.0, size=(7, 1)), rng.uniform(-3.0, 3.0, size=(1, 6))
+    got = verify._superposition_2d(coeffs)(u, v)
+    degrees = range(shape[-1])
+    want = sum(
+        coeffs[..., j, k, None, None] * hermite_function(j, u) * hermite_function(k, v)
+        for j in degrees
+        for k in degrees
+    )
+    assert got.shape == shape[:-2] + (7, 6)
+    assert np.abs(got - want).max() <= 1e-15
+
+
 def test_timed_reduces_every_deviation():
     dev = np.array([[1e-9, -3e-7, 2e-7j], [0.0, 1e-8, -1e-9j]])
     check = verify._timed("t", 1e-6, lambda: dev)
