@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -274,15 +275,19 @@ def _add_grid_flags(parser) -> None:
     parser.add_argument("--ny", type=int, default=128)
 
 
-def _report_timings(args, start: float, evaluated: float) -> None:
-    """With ``--timings``, print the seconds spent evaluating (from
-    ``start`` to ``evaluated``) and formatting and writing (since then)."""
+def _evaluate_and_write(args, label: str, evaluate, write) -> int:
+    """Time ``values = evaluate()`` and then ``write(values)``; with
+    ``--timings``, print both seconds on stderr. Then print the summary
+    ``"<label>: wrote N samples to <out>"`` and return ``EXIT_OK``."""
+    start = time.perf_counter()
+    values = evaluate()
+    evaluated = time.perf_counter()
+    write(values)
     if args.timings:
         written = time.perf_counter()
-        print(
-            f"timings: evaluate {evaluated - start:.6f} s, format+write {written - evaluated:.6f} s",
-            file=sys.stderr,
-        )
+        print(f"timings: evaluate {evaluated - start:.6f} s, format+write {written - evaluated:.6f} s", file=sys.stderr)
+    print(f"{label}: wrote {values.size} samples to {args.out}")
+    return EXIT_OK
 
 
 def cmd_modes(args) -> int:
@@ -290,15 +295,14 @@ def cmd_modes(args) -> int:
     j, k = args.index
     hg = args.kind == "hg"
     index = _validated(ModeIndex.hg if hg else ModeIndex.lg, j, k)
-    start = time.perf_counter()
-    values = (hg_mode if hg else lg_mode)(index, xs[:, None], ys[None, :])
-    evaluated = time.perf_counter()
-    _write_grid_csv(args.out, xs, ys, values)
-    if args.image:
-        _write_pgm(args.image, values)
-    _report_timings(args, start, evaluated)
-    print(f"modes {args.kind} ({j},{k}): wrote {values.size} samples to {args.out}")
-    return EXIT_OK
+
+    def write(values) -> None:
+        _write_grid_csv(args.out, xs, ys, values)
+        if args.image:
+            _write_pgm(args.image, values)
+
+    evaluate = functools.partial(hg_mode if hg else lg_mode, index, xs[:, None], ys[None, :])
+    return _evaluate_and_write(args, f"modes {args.kind} ({j},{k})", evaluate, write)
 
 
 def cmd_wigner(args) -> int:
@@ -308,18 +312,14 @@ def cmd_wigner(args) -> int:
         j, k = args.indices
         _validated(ModeIndex.lg, j, k)
         xs, ys = _grid_axes(args)
-        if args.kind == "lg_diag":
-            _require_coordinates(xi1=args.xi1, xi2=args.xi2)
-        start = time.perf_counter()
         if args.kind == "hermite":
-            values = wigner_hermite_closed(j, k, xs[:, None], ys[None, :])
+            evaluate = functools.partial(wigner_hermite_closed, j, k, xs[:, None], ys[None, :])
         else:
-            values = wigner_lg_diag(j, k, PhasePoint4(xs[:, None], ys[None, :], args.xi1, args.xi2))
-        evaluated = time.perf_counter()
-        _write_grid_csv(args.out, xs, ys, values)
-        _report_timings(args, start, evaluated)
-        print(f"wigner {args.kind} ({j},{k}): wrote {values.size} samples to {args.out}")
-        return EXIT_OK
+            _require_coordinates(xi1=args.xi1, xi2=args.xi2)
+            point = PhasePoint4(xs[:, None], ys[None, :], args.xi1, args.xi2)
+            evaluate = functools.partial(wigner_lg_diag, j, k, point)
+        write = functools.partial(_write_grid_csv, args.out, xs, ys)
+        return _evaluate_and_write(args, f"wigner {args.kind} ({j},{k})", evaluate, write)
 
     if len(args.indices) != 4:
         raise UsageError(f"kind {args.kind} takes four indices, got {len(args.indices)}")
@@ -331,14 +331,9 @@ def cmd_wigner(args) -> int:
     _validated(index, j, k)
     _validated(index, m, n)
     points = np.array(_read_points_file(args.points))
-    closed = wigner_lg_closed if lg else wigner_hg_closed
-    start = time.perf_counter()
-    values = closed(j, k, m, n, PhasePoint4(*points.T))
-    evaluated = time.perf_counter()
-    _write_points_csv(args.out, points, values)
-    _report_timings(args, start, evaluated)
-    print(f"wigner {args.kind} ({j},{k},{m},{n}): wrote {len(values)} samples to {args.out}")
-    return EXIT_OK
+    evaluate = functools.partial(wigner_lg_closed if lg else wigner_hg_closed, j, k, m, n, PhasePoint4(*points.T))
+    write = functools.partial(_write_points_csv, args.out, points)
+    return _evaluate_and_write(args, f"wigner {args.kind} ({j},{k},{m},{n})", evaluate, write)
 
 
 def cmd_beam(args) -> int:
@@ -347,18 +342,14 @@ def cmd_beam(args) -> int:
     index = _validated(BeamIndex, *args.index)
     _require_coordinates(z=args.z)
     _validated(beam_geometry, params, args.z)
-    start = time.perf_counter()
-    r = np.hypot(xs[:, None], ys[None, :])
-    phi = np.arctan2(ys[None, :], xs[:, None])
-    values = beam_field(index, params, r, phi, args.z)
-    evaluated = time.perf_counter()
-    _write_grid_csv(args.out, xs, ys, values)
-    _report_timings(args, start, evaluated)
-    print(
-        f"beam (p={index.p}, ell={index.ell}) at z={args.z}: "
-        f"wrote {values.size} samples to {args.out}"
-    )
-    return EXIT_OK
+
+    def evaluate():
+        r = np.hypot(xs[:, None], ys[None, :])
+        phi = np.arctan2(ys[None, :], xs[:, None])
+        return beam_field(index, params, r, phi, args.z)
+
+    write = functools.partial(_write_grid_csv, args.out, xs, ys)
+    return _evaluate_and_write(args, f"beam (p={index.p}, ell={index.ell}) at z={args.z}", evaluate, write)
 
 
 def cmd_verify(args) -> int:

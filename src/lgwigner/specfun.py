@@ -33,7 +33,10 @@ The degree of :func:`laguerre` and :func:`hermite_function_derivative`,
 and ``alpha``, may also be integer arrays broadcasting against ``x``.
 Such a call fills a table of every degree up to the largest by the same
 blocked recurrence and picks each point's entry from it, so each value
-keeps the bits of its own scalar-index call.
+keeps the bits of its own scalar-index call. The derivative has only
+this path: a scalar index also fills a table, of ``n + 2`` rows, built
+by ``_hermite_table`` as :func:`hermite_function_table` is, and takes
+the ladder relation from it.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ MAX_DEGREE = 64
 # core, hermite_function(40, .) at 200,000 points took 9.3, 7.5, 6.4, 6.2
 # and 9.4 ms at 4,096, 8,192, 16,384, 32,768 and 65,536 points a block;
 # the two best gave the same library_grid benchmark time, and the smaller
-# keeps the derivative's four work rows at 512 KiB.
+# keeps hermite_function's three work rows at 384 KiB.
 _BLOCK = 16_384
 
 
@@ -291,6 +294,12 @@ def hermite_function(n: int, x) -> float | np.ndarray:
     return _blockwise(x, 3, lambda x, out, work: _hermite_rows(n, x, _ending_in(out, work, n), work[2]))
 
 
+def _hermite_table(top: int, x: np.ndarray) -> np.ndarray:
+    """h_0(x), ..., h_top(x) along a new leading axis. ``top`` is not
+    checked, so the derivative may step to ``MAX_DEGREE + 1``."""
+    return _blockwise(x, 1, lambda x, out, work: _hermite_rows(top, x, out, work[0]), (top + 1,))
+
+
 def hermite_function_table(nmax: int, x) -> np.ndarray:
     """Stack of Hermite functions h_0..h_nmax evaluated at x.
 
@@ -299,8 +308,7 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     superpositions.
     """
     _check_degree(nmax, "nmax")
-    arr = _as_finite_array(x)
-    return _blockwise(arr, 1, lambda x, out, work: _hermite_rows(nmax, x, out, work[0]), (nmax + 1,))
+    return _hermite_table(nmax, _as_finite_array(x))
 
 
 @_scalars_as_arrays(float, "x", indices={"n": MAX_DEGREE})
@@ -308,31 +316,18 @@ def hermite_function_derivative(n: int, x) -> float | np.ndarray:
     """Derivative h_n'(x) from the ladder relation.
 
     Uses ``h_n' = sqrt(n/2) h_{n-1} - sqrt((n+1)/2) h_{n+1}`` (first term
-    absent for n = 0). The recurrence runs one degree past ``n``
-    internally, which stays well conditioned. ``n`` may be an integer
-    array broadcasting against ``x``: then one table to the largest ``n``
-    plus one serves every point, each with the bits of a scalar-index
-    call.
+    absent for n = 0), read from one table of h_0 to h_{N+1} for the
+    largest degree N; the recurrence stays well conditioned one degree
+    past ``MAX_DEGREE``. ``n`` may be an integer array broadcasting
+    against ``x``, and each point gets the bits of a scalar-index call.
+    A scalar ``n`` holds that table too, of ``n + 2`` rows of ``x``'s
+    size.
     """
-    if isinstance(n, np.ndarray):
-        top = int(np.max(n, initial=0)) + 1
-        table = _blockwise(x, 1, lambda x, out, work: _hermite_rows(top, x, out, work[0]), (top + 1,))
-        columns = np.arange(x.size).reshape(x.shape)
-        table = table.reshape(top + 1, -1)
-        rise = np.sqrt((n + 1) / 2.0) * table[n + 1, columns]
-        return np.where(n == 0, -rise, np.sqrt(n / 2.0) * table[n - 1, columns] - rise)
-
-    def ladder(x, out, work):
-        rows, tmp = work[:3], work[3]
-        _hermite_rows(n + 1, x, rows, tmp)
-        if n == 0:
-            np.multiply(-math.sqrt(0.5), rows[1], out=out)
-        else:
-            np.multiply(math.sqrt(n / 2.0), rows[(n - 1) % 3], out=out)
-            np.multiply(math.sqrt((n + 1) / 2.0), rows[(n + 1) % 3], out=tmp)
-            np.subtract(out, tmp, out=out)
-
-    return _blockwise(x, 4, ladder)
+    top = int(np.max(n, initial=0)) + 1
+    table = _hermite_table(top, x).reshape(top + 1, -1)
+    columns = np.arange(x.size).reshape(x.shape)
+    rise = np.sqrt((n + 1) / 2.0) * table[n + 1, columns]
+    return np.where(n == 0, -rise, np.sqrt(n / 2.0) * table[n - 1, columns] - rise)
 
 
 def _index_domain(index: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

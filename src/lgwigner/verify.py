@@ -322,7 +322,9 @@ def _suite_properties(seed: int) -> tuple:
         return lhs - np.sqrt(2 * np.pi) * h[:, None] * h[None, :]
 
     def x_marginal():
-        xis = rng.uniform(-2.0, 2.0, size=4)
+        # five points to xi_marginal's four, so a swap of the two bodies
+        # changes both checks' sample counts
+        xis = rng.uniform(-2.0, 2.0, size=5)
         m, n = _all_pairs(deg)
         lhs = p_w @ wigner1d_grid(_h_stack(m), _h_stack(n), p_axis, xis, _sized(2 * deg, xis))
         # Fourier transform of each mode is itself times (-i)**degree, so

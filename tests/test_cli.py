@@ -607,11 +607,17 @@ def test_forked_writers_print_nothing_of_their_own(tmp_path):
     "argv",
     [
         ["modes", "lg", "--index", "2", "1", "--nx", "12", "--ny", "9"],
+        ["wigner", "hermite", "--indices", "3", "1", "--nx", "5", "--ny", "11"],
         ["wigner", "lg_diag", "--indices", "2", "1", "--xi1", "0.5", "--nx", "7", "--ny", "10"],
+        ["wigner", "hg_general", "--indices", "1", "2", "0", "1"],
         ["beam", "--index", "1", "-2", "--w0", "1.0", "--k", "10.0", "--z", "0.5", "--nx", "8", "--ny", "6"],
     ],
 )
 def test_timings_change_only_stderr(tmp_path, capsys, argv):
+    if "hg_general" in argv:
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2,xi1,xi2\n1.0,0.5,-0.25,0.75\n0,0,0,0\n-1,2,0.5,-0.5\n")
+        argv = argv + ["--points", str(pts)]
     plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
     assert cli.main(argv + ["--out", str(plain)]) == 0
     out_plain, err_plain = capsys.readouterr()

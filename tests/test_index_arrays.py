@@ -131,6 +131,7 @@ def test_index_arrays_at_a_scalar_point_give_an_array_and_0d_indices_a_scalar():
     assert type(laguerre(np.array(4), np.array(1), 2.5)) is float
     assert type(_lg_modes(np.int64(2), 1, 0.3, 0.2)) is complex
     assert laguerre(np.array([], dtype=int), 0, 1.0).shape == (0,)
+    assert hermite_function_derivative(np.array([], dtype=int), 1.0).shape == (0,)
 
 
 #: name -> (evaluator taking the index under test first, that index's name,

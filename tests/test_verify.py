@@ -70,7 +70,7 @@ MANIFEST = {
 GATES = {
     "hermiticity": (1e-12, 150),
     "xi_marginal": (1e-8, 324),
-    "x_marginal": (1e-8, 324),
+    "x_marginal": (1e-8, 405),
     "total_integral": (1e-7, 81),
     "moyal_kronecker": (1e-8, 1296),
     "hermite_orthonormality": (1e-10, 169),
