@@ -357,7 +357,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite name {args.suite!r}; expected one of {SUITE_NAMES}")
     if args.seed < 0:
         raise UsageError(f"seed must be non-negative, got {args.seed}")
-    report = run_suite(args.suite, seed=args.seed, budget=args.budget)
+    report = run_suite(args.suite, seed=args.seed)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(report.to_json())
@@ -419,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite")
     p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--budget", choices=("full",), default="full")
     p_ver.add_argument("--out", help="write the JSON report here")
     p_ver.set_defaults(func=cmd_verify)
 

@@ -2,20 +2,19 @@
 into named suites with per-check tolerances and machine-readable reports.
 
 Each suite draws its sample points from a seeded generator, so a report
-is reproducible from ``(suite, seed)``. There is one budget, ``full``:
-each suite runs at one size, its documented limits. Every check is
-declared once, in the table ``_SUITES`` at the end of the module: its
-suite, its name, its position in the suite and its tolerance. The
-tolerances are fixed per check from the quadrature error budget: 1e-10
-to 1e-12 where only closed forms and spectrally accurate quadrature
-meet, loosened to 1e-6 where the sampled rotate-plus-FFT grid or the
-two-dimensional oracle enter. The intertwining checks take their
-partials under the integral, so no check here differences numerically;
-they keep a 1e-6 gate, and their accuracy shows as margin. A suite
-returns its check bodies in table order, and :func:`run_suite` alone
-names and times them. Every body returns the array of deviations it
-compared, and :func:`_timed` alone reduces them to a
-:class:`CheckResult`, so a NaN deviation always fails its check.
+is reproducible from ``(suite, seed)``. Each suite runs at one size, its
+documented limits. Every check is declared once, in the table
+``_SUITES`` at the end of the module: its suite, its name, its position
+in the suite and its tolerance. The tolerances are fixed per check from
+the quadrature error budget: 1e-10 to 1e-12 where only closed forms and
+spectrally accurate quadrature meet, loosened to 1e-6 where the sampled
+rotate-plus-FFT grid or the two-dimensional oracle enter. The
+intertwining checks take their partials under the integral, so no check
+here differences numerically; they keep a 1e-6 gate, and their accuracy
+shows as margin. A suite returns its check bodies in table order, and
+:func:`run_suite` alone names and times them. Every body returns the
+array of deviations it compared, and :func:`_timed` alone reduces them
+to a :class:`CheckResult`, so a NaN deviation always fails its check.
 
 Every integral in this module, inner and outer, is a trapezoid sum on a
 :meth:`QuadratureSpec.for_degree` grid, sized from the Hermite degree of
@@ -147,20 +146,17 @@ class CheckResult:
 
 @dataclass
 class SuiteReport:
-    """All check results of one suite run, with the seed that produced it
-    and the one budget, ``"full"``, that it ran at."""
+    """All check results of one suite run, with the seed that produced it."""
 
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
     passed: bool = True
     seed: int = 0
-    budget: str = "full"
 
     def as_dict(self) -> dict:
         return {
             "suite": self.suite,
             "seed": self.seed,
-            "budget": self.budget,
             "passed": self.passed,
             "checks": [c.as_dict() for c in self.checks],
         }
@@ -784,8 +780,10 @@ def run_suite(name: str, seed: int = 0, budget: str = "full") -> SuiteReport:
 
     Deterministic given ``(name, seed)``: the same call reproduces the
     same sample points and therefore the same errors. ``seed`` is a
-    non-negative integer, and ``budget`` accepts only the one budget,
-    ``"full"``.
+    non-negative integer. Every suite runs at one size, so ``budget``
+    selects nothing: it accepts only ``"full"`` and refuses any other
+    value, and stays only because the benchmark's ``verify_full``
+    workload passes ``budget="full"``. It goes when that argument does.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite name {name!r}; expected one of {SUITE_NAMES}")
@@ -804,5 +802,4 @@ def run_suite(name: str, seed: int = 0, budget: str = "full") -> SuiteReport:
         checks=checks,
         passed=all(c.passed for c in checks),
         seed=int(seed),
-        budget=budget,
     )

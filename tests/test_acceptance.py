@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-All criteria are evaluated from a single full-budget verification run
-(seed 7). Tolerances are pinned here, independently of the tolerance
-table inside the verification engine, so a loosened engine cannot
-silently weaken the gate.
+All criteria are evaluated from a single verification run (seed 7).
+Tolerances are pinned here, independently of the tolerance table inside
+the verification engine, so a loosened engine cannot silently weaken the
+gate.
 """
 
 import json
@@ -19,7 +19,7 @@ SEED = 7
 
 @pytest.fixture(scope="module")
 def report():
-    rep = run_suite("all", seed=SEED, budget="full")
+    rep = run_suite("all", seed=SEED)
     return {check.name: check for check in rep.checks}
 
 
@@ -140,10 +140,10 @@ def test_criterion_12_beam(report):
     )
 
 
-# max_abs_err of every check at seed 7, full budget. Refresh it only in a
-# change that says why; it is written by
+# max_abs_err of every check at seed 7. Refresh it only in a change that
+# says why; it is written by
 #   python -c "import json; from lgwigner.verify import run_suite; print(json.dumps(
-#   {c.name: c.max_abs_err for c in run_suite('all', 7, 'full').checks}, indent=1))"
+#   {c.name: c.max_abs_err for c in run_suite('all', 7).checks}, indent=1))"
 # with 2 OpenBLAS threads (the default on 2 CPUs). The last bits of some
 # entries depend on the BLAS thread count: with OPENBLAS_NUM_THREADS=1,
 # weyl_pairing_x and weyl_pairing_xi move by up to 1.5e-7 of their value.

@@ -3,6 +3,8 @@ exit-code semantics."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -146,20 +148,22 @@ def test_points_file_not_utf8_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, lineno",
+    "text, message",
     [
-        ("1,2,3,oops\n0.5,0.5,0.5,0.5\n", 1),
-        ("x1,x2,xi,xi2\n0.5,0.5,0.5,0.5\n", 1),
-        ("x1,x2,xi1,xi2\n0.5,0.5,0.5,0.5\nx1,x2,xi1,xi2\n", 3),
+        ("1,2,3,oops\n0.5,0.5,0.5,0.5\n", "line 1:"),
+        ("x1,x2,xi,xi2\n0.5,0.5,0.5,0.5\n", "line 1:"),
+        ("x1,x2,xi1,xi2\n0.5,0.5,0.5,0.5\nx1,x2,xi1,xi2\n", "line 3:"),
+        # the header alone leaves nothing to evaluate
+        ("x1,x2,xi1,xi2\n", "points file contains no points"),
     ],
 )
-def test_wigner_points_file_only_exact_header_skipped(tmp_path, capsys, text, lineno):
+def test_wigner_points_file_only_exact_header_skipped(tmp_path, capsys, text, message):
     pts = tmp_path / "pts.csv"
     pts.write_text(text)
     out = tmp_path / "never.csv"
     code = cli.main(["wigner", "lg_general", "--indices", "1", "0", "0", "1", "--points", str(pts), "--out", str(out)])
     assert code == 2
-    assert f"line {lineno}:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -247,20 +251,16 @@ def test_verify_subcommand_writes_report(tmp_path):
 
 
 def test_verify_runs_the_one_budget(tmp_path):
-    def checks(path):
-        report = json.loads(path.read_text())
-        for check in report["checks"]:
-            check.pop("elapsed_ms")
-        return report
-
-    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
-    assert cli.main(["verify", "moyal", "--out", str(plain)]) == 0
-    assert cli.main(["verify", "moyal", "--budget", "full", "--out", str(flagged)]) == 0
-    assert checks(plain) == checks(flagged)
-    assert checks(plain)["budget"] == "full"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "moyal", "--budget", "quick"])
-    assert exc.value.code == 2
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "moyal", "--out", str(report)]) == 0
+    assert "budget" not in json.loads(report.read_text())
+    # there is no budget to choose, so the flag is refused like any unknown one
+    flagged = tmp_path / "flagged.json"
+    for budget in ("full", "quick"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "moyal", "--budget", budget, "--out", str(flagged)])
+        assert exc.value.code == 2
+    assert not flagged.exists()
 
 
 def test_verify_unknown_suite_exits_2(capsys):
@@ -271,7 +271,7 @@ def test_verify_unknown_suite_exits_2(capsys):
 def test_verify_failure_exits_1(monkeypatch, tmp_path):
     from lgwigner.verify import CheckResult, SuiteReport
 
-    def fake(name, seed=0, budget="full"):
+    def fake(name, seed=0):
         bad = CheckResult("x", 1.0, 1e-6, False, 1, 0.0)
         return SuiteReport(suite=name, checks=[bad], passed=False, seed=seed)
 
@@ -282,7 +282,7 @@ def test_verify_failure_exits_1(monkeypatch, tmp_path):
 def test_verify_summary_reports_a_nan_error(monkeypatch, capsys):
     from lgwigner.verify import CheckResult, SuiteReport
 
-    def fake(name, seed=0, budget="full"):
+    def fake(name, seed=0):
         good = CheckResult("a", 1e-16, 1e-6, True, 1, 0.0)
         bad = CheckResult("b", float("nan"), 1e-6, False, 1, 0.0)
         return SuiteReport(suite=name, checks=[good, bad], passed=False, seed=seed)
@@ -292,7 +292,7 @@ def test_verify_summary_reports_a_nan_error(monkeypatch, capsys):
     assert "FAIL (2 checks, worst error nan," in capsys.readouterr().out
 
 
-def _non_finite_report(name, seed=0, budget="full"):
+def _non_finite_report(name, seed=0):
     from lgwigner.verify import CheckResult, SuiteReport
 
     good = CheckResult("a", 1e-16, 1e-6, True, 1, 0.0)
@@ -326,6 +326,24 @@ def test_verify_out_file_is_strict_json_with_a_nan_error(monkeypatch, tmp_path):
     assert [c["max_abs_err"] for c in parsed["checks"]] == [1e-16, None, None]
 
 
+def _readme_commands():
+    """Every ``lgwigner ...`` line of README.md's ``sh`` blocks."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("lgwigner ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {shlex.split(line)[1] for line in commands} == {"modes", "wigner", "beam", "verify"}
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+
+
 def test_usage_errors_exit_2(tmp_path):
     out = tmp_path / "x.csv"
     # inverted bounds
@@ -347,7 +365,7 @@ def test_io_error_exits_3(tmp_path):
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    def broken(name, seed=0, budget="full"):
+    def broken(name, seed=0):
         raise RuntimeError("suite beam produced unexpected checks")
 
     monkeypatch.setattr(cli, "run_suite", broken)
@@ -374,6 +392,8 @@ def test_internal_value_error_exits_4(monkeypatch, tmp_path, capsys):
         (["modes", "hg", "--index", "65", "0"], "first index 65 outside supported range [0, 64]"),
         (["wigner", "hermite", "--indices", "65", "0"], "first index 65 outside"),
         (["wigner", "hg_general", "--indices", "0", "0", "0", "65"], "second index 65 outside"),
+        (["wigner", "lg_general", "--indices", "1", "0"], "kind lg_general takes four indices, got 2"),
+        (["wigner", "lg_general", "--indices", "0", "0", "0", "0"], "kind lg_general requires --points FILE"),
         (["modes", "lg", "--index", "0", "0", "--xmin=-inf"], "xmin must be finite"),
         (["modes", "lg", "--index", "0", "0", "--xmin=-inf", "--xmax=inf"], "xmin must be finite"),
         (["wigner", "lg_diag", "--indices", "0", "0", "--xi1", "nan"], "xi1 must be finite"),
