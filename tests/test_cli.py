@@ -11,12 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lgwigner import cli
 from lgwigner.modes import ModeIndex, hg_mode, lg_mode
 from lgwigner.wigner import PhasePoint4, wigner_hermite_closed, wigner_hg_closed, wigner_lg_closed
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # without the test extra the CSV writers' property tests skip
+    st = None
 
 
 def _read_csv(path):
@@ -580,64 +584,65 @@ def test_parallel_points_csv_matches_per_element_reference(tmp_path, monkeypatch
     _assert_no_child_left()
 
 
-# Bit patterns of NaN (both signs), +-inf, +-0.0, the extreme subnormals
-# and the extreme normals, drawn beside arbitrary 64-bit patterns
-_SPECIAL_BITS = [
-    0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
-    0x0000000000000000, 0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
-    0x0010000000000000, 0xFFEFFFFFFFFFFFFF,
-]
-_bits = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1))
+if st is None:
 
+    def test_csv_writers_match_reference_for_any_float_bits():
+        pytest.skip("needs hypothesis, from the test extra")
 
-def _doubles(draw, shape):
-    """A float64 array of ``shape`` drawn from raw bit patterns."""
-    bits = draw(st.lists(_bits, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
-    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+else:
+    # Bit patterns of NaN (both signs), +-inf, +-0.0, the extreme subnormals
+    # and the extreme normals, drawn beside arbitrary 64-bit patterns
+    _SPECIAL_BITS = [
+        0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+        0x0000000000000000, 0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+        0x0010000000000000, 0xFFEFFFFFFFFFFFFF,
+    ]
+    _bits = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1))
 
+    def _doubles(draw, shape):
+        """A float64 array of ``shape`` drawn from raw bit patterns."""
+        bits = draw(st.lists(_bits, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        return np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
 
-def _values(draw, shape):
-    """Real or complex values of ``shape``; a complex one is assembled part
-    by part, since arithmetic would turn an infinite part into NaN."""
-    real = _doubles(draw, shape)
-    if draw(st.booleans()):
-        return real
-    values = np.empty(shape, dtype=complex)
-    values.real, values.imag = real, _doubles(draw, shape)
-    return values
+    def _values(draw, shape):
+        """Real or complex values of ``shape``; a complex one is assembled part
+        by part, since arithmetic would turn an infinite part into NaN."""
+        real = _doubles(draw, shape)
+        if draw(st.booleans()):
+            return real
+        values = np.empty(shape, dtype=complex)
+        values.real, values.imag = real, _doubles(draw, shape)
+        return values
 
+    # derandomized, so every run draws the same examples
+    _pinned = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
-# derandomized, so every run draws the same examples
-_pinned = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @_pinned
+    @given(st.data(), st.integers(1, 3))
+    def test_grid_csv_matches_reference_for_any_float_bits(tmp_path_factory, data, workers):
+        # one x row, one y column and nx != ny among the shapes
+        nx, ny = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        xs, ys = _doubles(data.draw, nx), _doubles(data.draw, ny)
+        values = _values(data.draw, (nx, ny))
+        out = tmp_path_factory.mktemp("grid") / "grid.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            _force_workers(mp, workers)
+            cli._write_grid_csv(str(out), xs, ys, values)
+        assert out.read_bytes() == _reference_grid_csv(xs, ys, values)
+        _assert_no_child_left()
 
-
-@_pinned
-@given(st.data(), st.integers(1, 3))
-def test_grid_csv_matches_reference_for_any_float_bits(tmp_path_factory, data, workers):
-    # one x row, one y column and nx != ny among the shapes
-    nx, ny = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
-    xs, ys = _doubles(data.draw, nx), _doubles(data.draw, ny)
-    values = _values(data.draw, (nx, ny))
-    out = tmp_path_factory.mktemp("grid") / "grid.csv"
-    with pytest.MonkeyPatch.context() as mp:
-        _force_workers(mp, workers)
-        cli._write_grid_csv(str(out), xs, ys, values)
-    assert out.read_bytes() == _reference_grid_csv(xs, ys, values)
-    _assert_no_child_left()
-
-
-@_pinned
-@given(st.data(), st.integers(1, 3), st.integers(1, 4))
-def test_points_csv_matches_reference_for_any_float_bits(tmp_path_factory, data, workers, span):
-    rows = data.draw(st.integers(1, 12))
-    points, values = _doubles(data.draw, (rows, 4)), _values(data.draw, rows)
-    out = tmp_path_factory.mktemp("points") / "points.csv"
-    with pytest.MonkeyPatch.context() as mp:
-        _force_workers(mp, workers)
-        mp.setattr(cli, "_POINTS_PER_SPAN", span)
-        cli._write_points_csv(str(out), points, values)
-    assert out.read_bytes() == _reference_points_csv(points, values)
-    _assert_no_child_left()
+    @_pinned
+    @given(st.data(), st.integers(1, 3), st.integers(1, 4))
+    def test_points_csv_matches_reference_for_any_float_bits(tmp_path_factory, data, workers, span):
+        rows = data.draw(st.integers(1, 12))
+        points, values = _doubles(data.draw, (rows, 4)), _values(data.draw, rows)
+        out = tmp_path_factory.mktemp("points") / "points.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            _force_workers(mp, workers)
+            mp.setattr(cli, "_POINTS_PER_SPAN", span)
+            cli._write_points_csv(str(out), points, values)
+        assert out.read_bytes() == _reference_points_csv(points, values)
+        _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers, fail_in", [(2, "child"), (2, "parent"), (1, "parent")])
