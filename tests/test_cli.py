@@ -601,7 +601,8 @@ else:
 
     def _doubles(draw, shape):
         """A float64 array of ``shape`` drawn from raw bit patterns."""
-        bits = draw(st.lists(_bits, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        size = int(np.prod(shape))
+        bits = draw(st.lists(_bits, min_size=size, max_size=size))
         return np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
 
     def _values(draw, shape):
