@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import MAX_DEGREE, _check_int, _running_quotients, _scalars_as_arrays, laguerre
+from .specfun import MAX_DEGREE, _check_int, _gaussian, _running_quotients, _scalars_as_arrays, laguerre
 
 __all__ = ["BeamParams", "BeamIndex", "BeamGeometry", "beam_geometry", "beam_field"]
 
@@ -113,6 +113,15 @@ def beam_field(
     The constant ``C = sqrt(2 p! / (pi (p+|ell|)!)) / w(z)`` makes the
     transverse L2 norm equal 1 at every z.
 
+    Known defect: this phase is right at z = 0 only. Its carrier term
+    ``- k z`` has the opposite sign to the carrier that the curvature and
+    Gouy terms belong to; under that e^{-ikz} carrier the field misses
+    angular-spectrum propagation by 0.09-0.36. The Gouy term takes the
+    signed ell where |ell| belongs, so (p, ell) = (2, -3) misses by
+    0.13-0.63 and (3, -1) by 0.26-0.57, with either carrier. The fix
+    waits for a change that may also edit the benchmark, whose
+    ``perfbench/workloads.beam_route`` copies the same phase.
+
     ``r`` and ``phi`` may be arrays; both must be finite, ``r`` non-negative.
     """
     if np.any(r < 0):
@@ -122,11 +131,9 @@ def beam_field(
     ell_abs = abs(index.ell)
     # r**2 / w**2 may overflow to inf, whose Gaussian is the 0 it should be
     with np.errstate(over="ignore"):
-        gauss = np.exp(-(r * r) / (w * w))
-    # where the Gaussian underflows the value is 0: zero r there first, so
-    # neither the power of r nor the polynomial can overflow (r is the
-    # caller's array, so in a copy, made only when some point needs it)
-    dead = gauss == 0
+        gauss, dead = _gaussian(-(r * r) / (w * w))
+    # r is the caller's array, so it is zeroed in a copy, made only when
+    # some point needs it
     if dead.any():
         r = np.where(dead, 0.0, r)
     # the curvature term k r**2 / (2 R) as its equal (r/w)**2 (z/zR), which

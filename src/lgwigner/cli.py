@@ -27,11 +27,14 @@ affinity, or the CPU count where that is missing), at most one per
 16,384 rows, so small files stay in one process. The parent formats
 the first contiguous chunk of rows into the output file; each other
 chunk is formatted by an ``os.fork``ed child into an unlinked temporary
-file, which the parent appends in order. The bytes are the same whatever
-the CPU count. A child only formats floats and writes, and makes no BLAS
-call; it ends with ``os._exit``, so it neither flushes the parent's
-buffered output nor runs exit handlers. From Python 3.12, forking a
-process that has BLAS threads emits a ``DeprecationWarning``.
+file, which the parent appends in order. Where a chunk's temporary file
+or its fork fails (under a process limit, say), no further child is
+started and the parent formats the rows left itself. The bytes are the
+same whatever the CPU count, and whether or not a fork failed. A child
+only formats floats and writes, and makes no BLAS call; it ends with
+``os._exit``, so it neither flushes the parent's buffered output nor
+runs exit handlers. From Python 3.12, forking a process that has BLAS
+threads emits a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -175,7 +178,10 @@ def _write_csv(path: str, header: str, rows: int, write_rows) -> None:
     The rows are split into ``_worker_count(rows)`` contiguous chunks. The
     parent writes chunk 0 straight into ``path``; each other chunk is
     written by a forked child into a temporary file and appended in order
-    after every child has been reaped. A child's failure is raised here
+    after every child has been reaped. When a chunk's temporary file or
+    its fork fails with an OSError, no further child is started, and the
+    parent writes the rows from that chunk on after the children's
+    chunks: the bytes are the same. A child's failure is raised here
     as an OSError (exit 3) when the child's error was one, and as a
     RuntimeError (exit 4) otherwise.
     """
@@ -186,8 +192,11 @@ def _write_csv(path: str, header: str, rows: int, write_rows) -> None:
         children = []
         try:
             for start, stop in zip(bounds[1:-1], bounds[2:]):
-                out = temps.enter_context(tempfile.TemporaryFile())
-                pid = os.fork()
+                try:
+                    out = temps.enter_context(tempfile.TemporaryFile())
+                    pid = os.fork()
+                except OSError:  # the children only save time: the parent writes the rest
+                    break
                 if pid == 0:
                     _format_in_child(out, fh.encoding, write_rows, start, stop)
                 children.append((pid, out, start, stop))
@@ -204,6 +213,7 @@ def _write_csv(path: str, header: str, rows: int, write_rows) -> None:
         for _, out, *_ in children:
             out.seek(0)
             shutil.copyfileobj(out, fh.buffer, 1 << 20)
+        write_rows(fh, bounds[len(children) + 1], rows)
 
 
 def _write_grid_csv(path: str, xs, ys, values) -> None:
@@ -285,15 +295,6 @@ def _parse_point(line: str) -> tuple[float, float, float, float] | None:
     except ValueError:
         return None
     return point if all(abs(v) <= _COORD_LIMIT for v in point) else None
-
-
-def _add_grid_flags(parser) -> None:
-    parser.add_argument("--xmin", type=float, default=-4.0)
-    parser.add_argument("--xmax", type=float, default=4.0)
-    parser.add_argument("--nx", type=int, default=128)
-    parser.add_argument("--ymin", type=float, default=-4.0)
-    parser.add_argument("--ymax", type=float, default=4.0)
-    parser.add_argument("--ny", type=int, default=128)
 
 
 def _evaluate_and_write(args, label: str, evaluate, write) -> int:
@@ -401,41 +402,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_modes = sub.add_parser("modes", help="evaluate an HG or LG mode on a grid")
+    # the flags of the three subcommands that evaluate and write a CSV
+    evaluating = argparse.ArgumentParser(add_help=False)
+    for axis in "xy":
+        evaluating.add_argument(f"--{axis}min", type=float, default=-4.0)
+        evaluating.add_argument(f"--{axis}max", type=float, default=4.0)
+        evaluating.add_argument(f"--n{axis}", type=int, default=128)
+    evaluating.add_argument("--out", required=True, help="output CSV path")
+    evaluating.add_argument("--timings", action="store_true", help="print evaluate and format+write seconds on stderr")
+
+    p_modes = sub.add_parser("modes", parents=[evaluating], help="evaluate an HG or LG mode on a grid")
     p_modes.add_argument("kind", choices=("hg", "lg"))
     p_modes.add_argument("--index", type=int, nargs=2, required=True, metavar=("J", "K"))
-    _add_grid_flags(p_modes)
-    p_modes.add_argument("--out", required=True, help="output CSV path")
     p_modes.add_argument("--image", help="optional PGM magnitude image path")
     p_modes.set_defaults(func=cmd_modes)
 
-    p_wig = sub.add_parser("wigner", help="evaluate Wigner closed forms")
+    p_wig = sub.add_parser("wigner", parents=[evaluating], help="evaluate Wigner closed forms")
     p_wig.add_argument("kind", choices=("hermite", "lg_diag", "lg_general", "hg_general"))
     p_wig.add_argument(
         "--indices", type=int, nargs="+", required=True,
         help="two degrees for hermite/lg_diag, four for the general kinds",
     )
-    _add_grid_flags(p_wig)
     p_wig.add_argument("--xi1", type=float, default=0.0, help="fixed xi1 for lg_diag slices")
     p_wig.add_argument("--xi2", type=float, default=0.0, help="fixed xi2 for lg_diag slices")
     p_wig.add_argument("--points", help="CSV of x1,x2,xi1,xi2 rows for the general kinds")
-    p_wig.add_argument("--out", required=True)
     p_wig.set_defaults(func=cmd_wigner)
 
-    p_beam = sub.add_parser("beam", help="evaluate a transverse beam slice")
+    p_beam = sub.add_parser("beam", parents=[evaluating], help="evaluate a transverse beam slice")
     p_beam.add_argument("--index", type=int, nargs=2, required=True, metavar=("P", "ELL"))
     p_beam.add_argument("--w0", type=float, required=True, help="waist radius")
     p_beam.add_argument("--k", type=float, required=True, help="wavenumber")
     p_beam.add_argument("--z", type=float, default=0.0, help="height along the beam axis")
-    _add_grid_flags(p_beam)
-    p_beam.add_argument("--out", required=True)
     p_beam.set_defaults(func=cmd_beam)
-
-    for p in (p_modes, p_wig, p_beam):
-        p.add_argument(
-            "--timings", action="store_true",
-            help="print evaluate and format+write seconds on stderr",
-        )
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite")

@@ -20,6 +20,7 @@ import numpy as np
 from .specfun import (
     MAX_DEGREE,
     _check_degree,
+    _gaussian,
     _running_quotients,
     _scalars_as_arrays,
     _z_power,
@@ -121,31 +122,20 @@ class LadderOp(enum.Enum):
     AMINUSDAG = "Aminusdag"
 
 
-# op -> (compatible basis, slot acted on, True when creating)
-_OP_INDEX_RULES = {
-    LadderOp.A1: (Basis.HG, 0, False),
-    LadderOp.A1DAG: (Basis.HG, 0, True),
-    LadderOp.A2: (Basis.HG, 1, False),
-    LadderOp.A2DAG: (Basis.HG, 1, True),
-    LadderOp.APLUS: (Basis.LG, 0, False),
-    LadderOp.APLUSDAG: (Basis.LG, 0, True),
-    LadderOp.AMINUS: (Basis.LG, 1, False),
-    LadderOp.AMINUSDAG: (Basis.LG, 1, True),
-}
-
-_HALF = 0.5
 _ISQRT2 = 1.0 / np.sqrt(2.0)
 
-# op -> coefficients (c_x, c_dx, c_y, c_dy) of  c_x*x*f + c_dx*df/dx + c_y*y*f + c_dy*df/dy
-_OP_POINTWISE = {
-    LadderOp.A1: (_ISQRT2, _ISQRT2, 0.0, 0.0),
-    LadderOp.A1DAG: (_ISQRT2, -_ISQRT2, 0.0, 0.0),
-    LadderOp.A2: (0.0, 0.0, _ISQRT2, _ISQRT2),
-    LadderOp.A2DAG: (0.0, 0.0, _ISQRT2, -_ISQRT2),
-    LadderOp.APLUS: (_HALF, _HALF, -0.5j, -0.5j),
-    LadderOp.AMINUS: (_HALF, _HALF, 0.5j, 0.5j),
-    LadderOp.APLUSDAG: (_HALF, -_HALF, 0.5j, -0.5j),
-    LadderOp.AMINUSDAG: (_HALF, -_HALF, -0.5j, 0.5j),
+# op -> its index rule (compatible basis, slot acted on, True when creating)
+# and its coefficients (c_x, c_dx, c_y, c_dy) as the differential expression
+# c_x*x*f + c_dx*df/dx + c_y*y*f + c_dy*df/dy
+_LADDER = {
+    LadderOp.A1: ((Basis.HG, 0, False), (_ISQRT2, _ISQRT2, 0.0, 0.0)),
+    LadderOp.A1DAG: ((Basis.HG, 0, True), (_ISQRT2, -_ISQRT2, 0.0, 0.0)),
+    LadderOp.A2: ((Basis.HG, 1, False), (0.0, 0.0, _ISQRT2, _ISQRT2)),
+    LadderOp.A2DAG: ((Basis.HG, 1, True), (0.0, 0.0, _ISQRT2, -_ISQRT2)),
+    LadderOp.APLUS: ((Basis.LG, 0, False), (0.5, 0.5, -0.5j, -0.5j)),
+    LadderOp.APLUSDAG: ((Basis.LG, 0, True), (0.5, -0.5, 0.5j, -0.5j)),
+    LadderOp.AMINUS: ((Basis.LG, 1, False), (0.5, 0.5, 0.5j, 0.5j)),
+    LadderOp.AMINUSDAG: ((Basis.LG, 1, True), (0.5, -0.5, -0.5j, 0.5j)),
 }
 
 
@@ -169,12 +159,7 @@ def _lg_modes(n_plus, n_minus, x, y) -> complex | np.ndarray:
     lo, alpha = np.minimum(n_plus, n_minus), abs(n_plus - n_minus)
     z = x + 1j * y
     rho = x * x + y * y
-    gauss = np.exp(-0.5 * rho)
-    # where the Gaussian underflows the value is 0: zero the point there
-    # first, so neither the power of z nor the polynomial can overflow
-    # (in place: z and rho are new arrays of the mask's shape)
-    dead = gauss == 0
-    z[dead] = rho[dead] = 0
+    gauss, dead = _gaussian(-0.5 * rho, z, rho)
     amp = _SQRT_FACTORIAL_RATIO[lo, lo + alpha] * (-1.0) ** lo
     # in place, in the operand order of amp / sqrt(pi) * power * gauss * L
     value = _z_power(z, n_plus - n_minus)
@@ -215,7 +200,7 @@ def ladder_index_action(op: LadderOp, index: ModeIndex):
     Raises ``ValueError`` when the operator family does not match the
     index basis (Cartesian ops act on HG indices, circular ops on LG).
     """
-    basis, slot, creates = _OP_INDEX_RULES[op]
+    (basis, slot, creates), _ = _LADDER[op]
     if index.basis is not basis:
         raise ValueError(
             f"operator {op.value} acts on {basis.value.upper()} indices, "
@@ -274,11 +259,7 @@ class _LGField:
         alpha = hi - lo
         z = x + 1j * y
         rho = x * x + y * y
-        gauss = np.exp(-0.5 * rho)
-        # zero the point where the Gaussian underflows, as lg_mode does (in
-        # place: z, rho and both derivatives are new arrays of its shape)
-        dead = gauss == 0
-        z[dead] = rho[dead] = 0
+        gauss, dead = _gaussian(-0.5 * rho, z, rho)
         zbar = np.conj(z)
         power_base, other = (zbar, z) if conjugated else (z, zbar)
         amp = _SQRT_FACTORIAL_RATIO[lo, hi] * (-1.0) ** lo
@@ -340,7 +321,7 @@ def apply_operator_pointwise(op: LadderOp, f, x, y) -> complex | np.ndarray:
         Evaluation points, broadcast against each other. Scalar input
         returns a ``complex``, array input an array of the broadcast shape.
     """
-    cx, cdx, cy, cdy = _OP_POINTWISE[op]
+    _, (cx, cdx, cy, cdy) = _LADDER[op]
     step = DEFAULT_FD_STEP
     if hasattr(f, "partial_x") and hasattr(f, "partial_y"):
         fx = f.partial_x(x, y)

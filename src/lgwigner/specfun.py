@@ -17,7 +17,8 @@ names (``laguerre``, never its undecorated kernel), so an inner layer
 checks again what its caller checked: ``perfbench/tracer.py`` counts the
 calls per layer by rebinding those names. ``_running_quotients`` is the
 one builder of the factorial-ratio tables of the closed forms, the LG
-modes and the beam.
+modes and the beam, and ``_gaussian`` their one rule for points where
+the Gaussian envelope underflows.
 
 The Hermite-function and Laguerre recurrences run blocked: they walk the
 flattened points in blocks of ``_BLOCK`` and, within a block, update a
@@ -150,6 +151,23 @@ def _running_quotients(diagonal: np.ndarray, divisors: np.ndarray) -> np.ndarray
     for hi in range(1, len(diagonal)):
         out[:hi, hi] = out[:hi, hi - 1] / divisors[hi]
     return out
+
+
+def _gaussian(exponent: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(exponent)`` and the mask of points where it underflows to 0.
+
+    The package's one underflow rule: where a field's Gaussian envelope
+    underflows, its value is 0. So each of ``arrays`` (new arrays of the
+    mask's shape, such as the point's ``z`` and ``|z|**2``) is zeroed
+    there in place first, and neither a power nor a polynomial of the
+    point can overflow; the caller writes +0.0 into its result under the
+    mask last, whatever the finite factors made of it.
+    """
+    gauss = np.exp(exponent)
+    dead = gauss == 0
+    for array in arrays:
+        array[dead] = 0
+    return gauss, dead
 
 
 def _fields(value) -> list:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import MAX_DEGREE, _running_quotients, _z_power, hermite_function_table, laguerre
+from .specfun import MAX_DEGREE, _gaussian, _running_quotients, _z_power, hermite_function_table, laguerre
 from .specfun import _as_finite_array, _check_degree, _check_int, _scalars_as_arrays  # argument rules
 
 __all__ = [
@@ -519,12 +519,7 @@ def wigner_hermite_closed(j: int, k: int, x, y) -> complex | np.ndarray:
     """
     z = x + 1j * y
     rho = x * x + y * y
-    gauss = np.exp(-0.5 * rho)
-    # where the Gaussian underflows the value is 0: zero the point there
-    # first, so neither the power of z nor the polynomial can overflow
-    # (in place: z and rho are new arrays of the mask's shape)
-    dead = gauss == 0
-    z[dead] = rho[dead] = 0
+    gauss, dead = _gaussian(-0.5 * rho, z, rho)
     lo, alpha = np.minimum(j, k), abs(j - k)
     # in place, in the operand order of scale * power * gauss * L
     value = _z_power(z, j - k)
@@ -553,13 +548,8 @@ def wigner_lg_closed(j: int, k: int, m: int, n: int, point: PhasePoint4) -> comp
 
 def _diag_closed(j: int, k: int, q0, q) -> float | np.ndarray:
     """``pi**-1 (-1)**(j+k) exp(-q0) L0_j(q0 + q) L0_k(q0 - q)``, real."""
-    gauss = np.exp(-q0)
-    # where the Gaussian underflows the value is 0: zero the polynomials'
-    # arguments there first, so they cannot overflow (in place: the
-    # quadratics of one point share its broadcast shape)
-    dead = gauss == 0
     plus, minus = q0 + q, q0 - q
-    plus[dead] = minus[dead] = 0
+    gauss, dead = _gaussian(-q0, plus, minus)
     value = (-1.0) ** (j + k) / np.pi * gauss
     value = value * laguerre(j, 0, plus) * laguerre(k, 0, minus)
     np.copyto(value, 0, where=dead)

@@ -1,6 +1,8 @@
 """Command-line interface: file formats, round-trips, determinism, and
 exit-code semantics."""
 
+import argparse
+import errno
 import json
 import os
 import re
@@ -383,6 +385,58 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+_GRID_FLAGS = ("--xmin", "--xmax", "--nx", "--ymin", "--ymax", "--ny")
+
+
+def _subcommand_flags(parser):
+    """Subcommand -> (its positionals by name, its option strings)."""
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return {
+        name: (
+            [action.dest for action in p._actions if not action.option_strings],
+            {string for action in p._actions for string in action.option_strings},
+        )
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_keeps_its_flags():
+    help_ = {"-h", "--help"}
+    assert _subcommand_flags(cli.build_parser()) == {
+        "modes": (["kind"], {*help_, "--index", *_GRID_FLAGS, "--out", "--image", "--timings"}),
+        "wigner": (
+            ["kind"],
+            {*help_, "--indices", *_GRID_FLAGS, "--xi1", "--xi2", "--points", "--out", "--timings"},
+        ),
+        "beam": ([], {*help_, "--index", "--w0", "--k", "--z", *_GRID_FLAGS, "--out", "--timings"}),
+        "verify": (["suite"], {*help_, "--seed", "--out"}),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modes", "lg", "--index", "1", "0"],
+        ["wigner", "hermite", "--indices", "1", "0"],
+        ["beam", "--index", "0", "1", "--w0", "1", "--k", "1"],
+    ],
+)
+def test_grid_defaults(argv):
+    args = cli.build_parser().parse_args(argv + ["--out", "o.csv"])
+    assert (args.xmin, args.xmax, args.nx, args.ymin, args.ymax, args.ny) == (-4.0, 4.0, 128, -4.0, 4.0, 128)
+    assert args.timings is False
+
+
+@pytest.mark.parametrize("flag", [["--timings"], ["--nx", "4"]])
+def test_verify_refuses_the_evaluating_flags(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "all", *flag, "--out", "report.json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_io_error_exits_3(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = cli.main(["modes", "hg", "--index", "0", "0", "--nx", "4", "--ny", "4", "--out", str(missing_dir)])
@@ -674,6 +728,35 @@ def test_a_failing_writer_exits_as_one_process_does_and_leaves_no_child(
     assert captured.err.startswith(message) and str(error) in captured.err
     if fail_in == "child":
         assert "formatting CSV rows 8-15 failed" in captured.err
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "failing, call",
+    [("fork", 1), ("fork", 2), ("TemporaryFile", 1), ("TemporaryFile", 2)],
+)
+def test_a_failed_fork_leaves_the_rows_to_the_parent(tmp_path, monkeypatch, capsys, failing, call):
+    """Three chunks of five rows, the first boundary inside an x row: the
+    ``call``-th fork or temporary file fails, and the parent writes the
+    chunks that no child took after those that one did."""
+    _force_workers(monkeypatch, 3)
+    module = os if failing == "fork" else cli.tempfile
+    real = getattr(module, failing)
+    calls = []
+
+    def fails_once(*args):
+        calls.append(os.getpid())
+        if len(calls) == call:
+            raise OSError(errno.EAGAIN if failing == "fork" else errno.EMFILE, "refused for the test")
+        return real(*args)
+
+    monkeypatch.setattr(module, failing, fails_once)
+    out = tmp_path / "o.csv"
+    assert cli.main(["modes", "lg", "--index", "2", "1", "--nx", "5", "--ny", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == [os.getpid()] * call
+    xs, ys = np.linspace(-4.0, 4.0, 5), np.linspace(-4.0, 4.0, 3)
+    assert out.read_bytes() == _reference_grid_csv(xs, ys, lg_mode(ModeIndex.lg(2, 1), xs[:, None], ys[None, :]))
     _assert_no_child_left()
 
 
