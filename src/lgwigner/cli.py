@@ -44,6 +44,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -69,6 +70,10 @@ _POINTS_HEADER = "x1,x2,xi1,xi2"
 
 #: Largest coordinate magnitude accepted, in flags and points files alike
 _COORD_LIMIT = 1e150
+
+#: A negative flag value, exponent included (argparse's own pattern reads
+#: -1e3 as an option); no option string here starts with a dash and a digit
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 #: Fewest CSV rows per formatting process: forking one more child of a
 #: ~65 MB process costs ~5 ms, the time to format ~2k complex rows, so a
@@ -441,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", help="write the JSON report here")
     p_ver.set_defaults(func=cmd_verify)
 
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

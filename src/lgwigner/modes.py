@@ -6,8 +6,7 @@ positive and negative angular-momentum quanta ``(n_plus, n_minus)``.
 The module provides position-representation evaluation of both families,
 index-space actions of the eight ladder operators, and pointwise
 application of the same operators as first-order differential expressions
-(with the partials a field carries, as the basis fields do, and by central
-differences for any other callable).
+built from the analytic partials a field carries, as the basis fields do.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ __all__ = [
     "ladder_index_action",
     "apply_operator_pointwise",
 ]
-
-DEFAULT_FD_STEP = 1e-5
 
 
 class Basis(enum.Enum):
@@ -310,24 +307,16 @@ def apply_operator_pointwise(op: LadderOp, f, x, y) -> complex | np.ndarray:
     op : LadderOp
         Operator to apply.
     f : callable
-        Field ``f(x, y) -> complex``, always called with numpy arrays (a
-        scalar point arrives as one-element arrays), so it must accept
-        them. A field with both ``partial_x`` and ``partial_y`` methods,
-        such as the basis fields from :func:`hg_field` and
-        :func:`lg_field`, has its partials taken from them; for any other
-        callable they are central differences with step
-        ``DEFAULT_FD_STEP`` = 1e-5, balancing truncation and rounding.
+        Field ``f(x, y) -> complex`` with methods ``partial_x`` and
+        ``partial_y`` alike, as the basis fields from :func:`hg_field` and
+        :func:`lg_field` have, else ``TypeError`` before any call. All
+        three take numpy arrays; a scalar point arrives as one-element arrays.
     x, y : float or array_like
         Evaluation points, broadcast against each other. Scalar input
         returns a ``complex``, array input an array of the broadcast shape.
     """
     _, (cx, cdx, cy, cdy) = _LADDER[op]
-    step = DEFAULT_FD_STEP
-    if hasattr(f, "partial_x") and hasattr(f, "partial_y"):
-        fx = f.partial_x(x, y)
-        fy = f.partial_y(x, y)
-    else:
-        fx = (f(x + step, y) - f(x - step, y)) / (2.0 * step)
-        fy = (f(x, y + step) - f(x, y - step)) / (2.0 * step)
-    f0 = f(x, y)
+    if not (hasattr(f, "partial_x") and hasattr(f, "partial_y")):
+        raise TypeError("the field must have both partial_x and partial_y methods")
+    fx, fy, f0 = f.partial_x(x, y), f.partial_y(x, y), f(x, y)
     return cx * x * f0 + cdx * fx + cy * y * f0 + cdy * fy

@@ -52,7 +52,7 @@ from .modes import (
     lg_field,
     lg_mode,
 )
-from .specfun import _check_int, hermite_function_derivative, hermite_function_table
+from .specfun import MAX_DEGREE, _check_int, hermite_function_derivative, hermite_function_table
 from .wigner import (
     Grid2D,
     PhasePoint4,
@@ -645,10 +645,13 @@ def weyl_pairing_check(sigma: str, f: int, g: int) -> CheckResult:
     ``sigma="one"`` both sides must also reproduce the Kronecker delta of
     the degrees, since quantizing the constant symbol gives the identity.
     The kernel and the oracle use the spec sized from the two degrees,
-    and the tolerance is the weyl suite's for ``sigma``.
+    and the tolerance is the weyl suite's for ``sigma``. Each degree is
+    refused under its own name outside f, g >= 0 and f + g <= 62.
     """
     if sigma not in SIGMA_SYMBOLS:
         raise ValueError(f"unsupported symbol {sigma!r}; expected one of {SIGMA_SYMBOLS}")
+    _check_int(f, "f", 0, MAX_DEGREE - 2)
+    _check_int(g, "g", 0, MAX_DEGREE - 2 - f)
     name = _weyl_name(sigma)
     return _timed(f"{name}_f{f}_g{g}", _SUITES["weyl"][1][name], lambda: _weyl_errors([(f, g)])[sigma])
 

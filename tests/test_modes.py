@@ -145,31 +145,24 @@ def test_ladder_index_action_basis_mismatch():
         ladder_index_action(LadderOp.APLUS, ModeIndex.hg(1, 1))
 
 
-def _plain(fld):
-    """The field as a plain callable, without its partials, so that
-    ``apply_operator_pointwise`` takes central differences of it."""
-    return lambda x, y: fld(x, y)
-
-
 def test_apply_operator_annihilates_ground_state():
     fld = lg_field(ModeIndex.lg(0, 0))
     for op in (LadderOp.APLUS, LadderOp.AMINUS):
         for x, y in [(0.0, 0.0), (0.7, -1.3), (-2.0, 0.4)]:
-            assert abs(apply_operator_pointwise(op, _plain(fld), x, y)) <= 1e-8
             assert abs(apply_operator_pointwise(op, fld, x, y)) <= 1e-14
 
 
 def test_apply_operator_matches_index_action_examples():
-    fld = _plain(hg_field(ModeIndex.hg(0, 0)))
+    fld = hg_field(ModeIndex.hg(0, 0))
     for x, y in [(0.2, 0.9), (-1.0, 0.0)]:
         got = apply_operator_pointwise(LadderOp.A1DAG, fld, x, y)
         want = hg_mode(ModeIndex.hg(1, 0), x, y)
-        assert got == pytest.approx(want, abs=1e-8)
+        assert got == pytest.approx(want, abs=1e-12)
 
-    fld = _plain(lg_field(ModeIndex.lg(1, 0)))
+    fld = lg_field(ModeIndex.lg(1, 0))
     got = apply_operator_pointwise(LadderOp.APLUSDAG, fld, 0.3, -0.7)
     want = np.sqrt(2.0) * lg_mode(ModeIndex.lg(2, 0), 0.3, -0.7)
-    assert got == pytest.approx(want, abs=1e-6)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_apply_operator_accepts_point_arrays():
@@ -179,32 +172,31 @@ def test_apply_operator_accepts_point_arrays():
         (lg_field(ModeIndex.lg(1, 2)), LadderOp.AMINUSDAG),
         (hg_field(ModeIndex.hg(2, 0)), LadderOp.A1),
     ):
-        for f in (_plain(fld), fld):
-            got = apply_operator_pointwise(op, f, x, y)
-            assert got.shape == (6,)
-            for i in range(6):
-                assert got[i] == apply_operator_pointwise(op, f, x[i], y[i])
-            assert type(apply_operator_pointwise(op, f, 0.4, -0.9)) is complex
+        got = apply_operator_pointwise(op, fld, x, y)
+        assert got.shape == (6,)
+        for i in range(6):
+            assert got[i] == apply_operator_pointwise(op, fld, x[i], y[i])
+        assert type(apply_operator_pointwise(op, fld, 0.4, -0.9)) is complex
 
 
 def test_pointwise_ladder_consistency_random():
-    rng = np.random.default_rng(12)
-    ops = list(LadderOp)
-    for _ in range(100):
-        op = ops[rng.integers(0, len(ops))]
+    # every operator on every mode of its basis up to order 8 whose target
+    # order is at most 8, against the index-space action
+    x, y = np.random.default_rng(12).uniform(-3.0, 3.0, size=(2, 40))
+    pairs = 0
+    for op in LadderOp:
         basis = Basis.HG if op.value.startswith("a") else Basis.LG
-        idx = ModeIndex(int(rng.integers(0, 6)), int(rng.integers(0, 6)), basis)
-        fld = hg_field(idx) if basis is Basis.HG else lg_field(idx)
-        x, y = rng.uniform(-2.0, 2.0, 2)
-        coeff, target = ladder_index_action(op, idx)
-        if target is ANNIHILATED:
-            want = 0.0
-        elif basis is Basis.HG:
-            want = coeff * hg_mode(target, x, y)
-        else:
-            want = coeff * lg_mode(target, x, y)
-        assert abs(apply_operator_pointwise(op, _plain(fld), x, y) - want) <= 1e-6
-        assert abs(apply_operator_pointwise(op, fld, x, y) - want) <= 1e-10
+        mode, field = (hg_mode, hg_field) if basis is Basis.HG else (lg_mode, lg_field)
+        for order in range(9):
+            for first in range(order + 1):
+                idx = ModeIndex(first, order - first, basis)
+                coeff, target = ladder_index_action(op, idx)
+                if target is not ANNIHILATED and target.first + target.second > 8:
+                    continue
+                want = 0.0 if target is ANNIHILATED else coeff * mode(target, x, y)
+                assert np.max(np.abs(apply_operator_pointwise(op, field(idx), x, y) - want)) <= 1e-14
+                pairs += 1
+    assert pairs == 324
 
 
 class _Ramp:
@@ -225,10 +217,19 @@ def test_apply_operator_takes_the_partials_a_field_carries():
     # A1 = (x f + df/dx) / sqrt2 and A2 = (y f + df/dy) / sqrt2
     assert apply_operator_pointwise(LadderOp.A1, _Ramp(), 0.5, 0.25) == pytest.approx((0.375 + 2.0) / np.sqrt(2.0))
     assert apply_operator_pointwise(LadderOp.A2, _Ramp(), 0.5, 0.25) == pytest.approx((0.1875 + 3.0) / np.sqrt(2.0))
-    # without both partials the field is differenced: df/dx = 1
-    only_x = lambda x, y: _Ramp()(x, y)
-    only_x.partial_x = _Ramp().partial_x
-    assert apply_operator_pointwise(LadderOp.A1, only_x, 0.5, 0.25) == pytest.approx((0.375 + 1.0) / np.sqrt(2.0))
+    # a field without both partials is refused before any of it is called
+    calls = []
+    for names in (("partial_x",), ("partial_y",), ()):
+
+        def field(x, y):
+            calls.append((x, y))
+            return x + y
+
+        for name in names:
+            setattr(field, name, field)
+        with pytest.raises(TypeError, match="partial_x and partial_y"):
+            apply_operator_pointwise(LadderOp.A1, field, 0.5, 0.25)
+    assert calls == []
     with pytest.raises(TypeError):
         apply_operator_pointwise(LadderOp.A1, _Ramp(), 0.5, 0.25, mode="analytic")
 

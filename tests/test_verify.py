@@ -297,6 +297,17 @@ def test_weyl_pairing_check_rejects_non_integer_degree(f, g):
         weyl_pairing_check("one", f, g)
 
 
+@pytest.mark.parametrize("f, g", [(31, 31), (62, 0), (0, 62)])
+def test_weyl_pairing_check_passes_at_its_degree_edges(f, g):
+    assert weyl_pairing_check("one", f, g).passed
+
+
+@pytest.mark.parametrize("f, g, name", [(32, 31, "g"), (0, 63, "g"), (-1, 0, "f"), (63, 0, "f")])
+def test_weyl_pairing_check_refuses_a_degree_under_its_own_name(f, g, name):
+    with pytest.raises(ValueError, match=rf"^{name} -?\d+ outside supported range"):
+        weyl_pairing_check("one", f, g)
+
+
 def test_weyl_pairing_check_rejects_unknown_symbol():
     with pytest.raises(ValueError):
         weyl_pairing_check("x3", 0, 0)

@@ -419,6 +419,16 @@ def test_rotfft_requires_symmetric_grid():
     bad = Grid2D((-8.0, 8.0, 64), (-7.0, 8.0, 64), grid.values)
     with pytest.raises(ValueError):
         extended_wigner_rotfft(bad)
+    # the tolerance is 1e-9 of the axis length, probed on each side of it
+    for name in ("x_axis", "y_axis"):
+        for d, accepted in ((0.5e-9 * 16, True), (2e-9 * 16, False)):
+            axes = {"x_axis": grid.x_axis, "y_axis": grid.y_axis, name: (-8.0 + d, 8.0, 64)}
+            shifted = Grid2D(axes["x_axis"], axes["y_axis"], grid.values)
+            if accepted:
+                extended_wigner_rotfft(shifted)
+            else:
+                with pytest.raises(ValueError, match=name):
+                    extended_wigner_rotfft(shifted)
 
 
 # --- two-dimensional transform and closed forms ---
