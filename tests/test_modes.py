@@ -217,7 +217,13 @@ def test_apply_operator_takes_the_partials_a_field_carries():
     # A1 = (x f + df/dx) / sqrt2 and A2 = (y f + df/dy) / sqrt2
     assert apply_operator_pointwise(LadderOp.A1, _Ramp(), 0.5, 0.25) == pytest.approx((0.375 + 2.0) / np.sqrt(2.0))
     assert apply_operator_pointwise(LadderOp.A2, _Ramp(), 0.5, 0.25) == pytest.approx((0.1875 + 3.0) / np.sqrt(2.0))
-    # a field without both partials is refused before any of it is called
+    with pytest.raises(TypeError):
+        apply_operator_pointwise(LadderOp.A1, _Ramp(), 0.5, 0.25, mode="analytic")
+
+
+@pytest.mark.parametrize("op", list(LadderOp), ids=lambda op: op.value)
+def test_apply_operator_refuses_a_field_without_both_partials(op):
+    # refused before any of it is called, at a scalar point and on arrays
     calls = []
     for names in (("partial_x",), ("partial_y",), ()):
 
@@ -227,11 +233,10 @@ def test_apply_operator_takes_the_partials_a_field_carries():
 
         for name in names:
             setattr(field, name, field)
-        with pytest.raises(TypeError, match="partial_x and partial_y"):
-            apply_operator_pointwise(LadderOp.A1, field, 0.5, 0.25)
+        for x, y in [(0.5, 0.25), (np.linspace(-1.0, 1.0, 3), np.zeros(3))]:
+            with pytest.raises(TypeError, match="partial_x and partial_y"):
+                apply_operator_pointwise(op, field, x, y)
     assert calls == []
-    with pytest.raises(TypeError):
-        apply_operator_pointwise(LadderOp.A1, _Ramp(), 0.5, 0.25, mode="analytic")
 
 
 def test_mode_index_validation():
