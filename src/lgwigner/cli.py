@@ -336,6 +336,8 @@ def cmd_wigner(args) -> int:
     if args.kind in ("hermite", "lg_diag"):
         if len(args.indices) != 2:
             raise UsageError(f"kind {args.kind} takes two indices, got {len(args.indices)}")
+        if args.points:
+            raise UsageError(f"kind {args.kind} writes a grid and takes no --points")
         j, k = args.indices
         _validated(ModeIndex.lg, j, k)
         xs, ys = _grid_axes(args)

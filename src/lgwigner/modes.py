@@ -7,11 +7,20 @@ The module provides position-representation evaluation of both families,
 index-space actions of the eight ladder operators, and pointwise
 application of the same operators as first-order differential expressions
 built from the analytic partials a field carries, as the basis fields do.
+
+The kernels run on index arrays only: each family's mode evaluator
+(``_hg_modes``, ``_lg_modes``) and partials kernel (``_hg_partial``,
+``_lg_partial``) take quanta that may be integer arrays broadcasting
+against the points, and ``_ladder_action`` takes arrays of quanta; each
+entry has the bits of its own scalar-index call. The public names that
+take one :class:`ModeIndex` are thin wrappers over them, and a basis
+field holds its quanta and its family's two kernels.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,11 +151,17 @@ _LADDER = {
 _SQRT_FACTORIAL_RATIO = _running_quotients(np.ones(MAX_DEGREE + 1), np.sqrt(np.arange(MAX_DEGREE + 1)))
 
 
-@_scalars_as_arrays(float, "x", "y")
+@_scalars_as_arrays(float, "x", "y", indices=dict.fromkeys(("j", "k"), MAX_DEGREE))
+def _hg_modes(j, k, x, y) -> float | np.ndarray:
+    """:func:`hg_mode` at quanta ``(j, k)``, integers or integer arrays
+    broadcasting against the points."""
+    return hermite_function(j, x) * hermite_function(k, y)
+
+
 def hg_mode(index: ModeIndex, x, y) -> float | np.ndarray:
     """Hermite-Gaussian mode: the tensor product h_j(x) h_k(y)."""
     index._require(Basis.HG)
-    return hermite_function(index.first, x) * hermite_function(index.second, y)
+    return _hg_modes(index.first, index.second, x, y)
 
 
 @_scalars_as_arrays(complex, "x", "y", indices=dict.fromkeys(("n_plus", "n_minus"), MAX_DEGREE))
@@ -187,6 +202,23 @@ def lg_mode(index: ModeIndex, x, y) -> complex | np.ndarray:
     return _lg_modes(index.first, index.second, x, y)
 
 
+def _ladder_action(op: LadderOp, first, second) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index-space action of ``op`` on integer arrays of quanta that
+    broadcast together: ``(coeff, first', second')``.
+
+    Creation on a slot holding m quanta has coefficient sqrt(m + 1) and
+    increments the slot; annihilation has sqrt(m) and decrements it,
+    except that an annihilated entry, m = 0, has coefficient 0 and keeps
+    its indices. The basis is the caller's to check.
+    """
+    (_, slot, creates), _ = _LADDER[op]
+    pair = [np.asarray(first), np.asarray(second)]
+    m = pair[slot]
+    coeff = np.sqrt(m + creates)
+    pair[slot] = np.where(coeff > 0, m + (1 if creates else -1), m)
+    return coeff, pair[0], pair[1]
+
+
 def ladder_index_action(op: LadderOp, index: ModeIndex):
     """Index-space action of a ladder operator.
 
@@ -197,101 +229,94 @@ def ladder_index_action(op: LadderOp, index: ModeIndex):
     Raises ``ValueError`` when the operator family does not match the
     index basis (Cartesian ops act on HG indices, circular ops on LG).
     """
-    (basis, slot, creates), _ = _LADDER[op]
+    basis = _LADDER[op][0][0]
     if index.basis is not basis:
         raise ValueError(
             f"operator {op.value} acts on {basis.value.upper()} indices, "
             f"got {index.basis.value.upper()}"
         )
-    pair = [index.first, index.second]
-    m = pair[slot]
-    if creates:
-        pair[slot] = m + 1
-        return np.sqrt(m + 1.0), ModeIndex(pair[0], pair[1], basis)
-    if m == 0:
+    coeff, first, second = _ladder_action(op, index.first, index.second)
+    if coeff == 0:
         return 0.0, ANNIHILATED
-    pair[slot] = m - 1
-    return np.sqrt(float(m)), ModeIndex(pair[0], pair[1], basis)
+    return coeff, ModeIndex(int(first), int(second), basis)
 
 
-class _HGField:
-    """HG basis mode as a callable field with analytic partials."""
-
-    def __init__(self, index: ModeIndex):
-        index._require(Basis.HG)
-        self.index = index
-
-    def __call__(self, x, y):
-        return hg_mode(self.index, x, y)
-
-    @_scalars_as_arrays(float, "x", "y")
-    def partial_x(self, x, y):
-        j, k = self.index.first, self.index.second
-        return hermite_function_derivative(j, x) * hermite_function(k, y)
-
-    @_scalars_as_arrays(float, "x", "y")
-    def partial_y(self, x, y):
-        j, k = self.index.first, self.index.second
+@_scalars_as_arrays(float, "x", "y", indices=dict.fromkeys(("j", "k"), MAX_DEGREE))
+def _hg_partial(j, k, x, y, along_y: bool) -> float | np.ndarray:
+    """d/dx of :func:`_hg_modes`, or d/dy when ``along_y``."""
+    if along_y:
         return hermite_function(j, x) * hermite_function_derivative(k, y)
+    return hermite_function_derivative(j, x) * hermite_function(k, y)
 
 
-class _LGField:
-    """LG basis mode as a callable field with analytic partials.
+@_scalars_as_arrays(complex, "x", "y", indices=dict.fromkeys(("n_plus", "n_minus"), MAX_DEGREE))
+def _lg_partial(n_plus, n_minus, x, y, along_y: bool) -> complex | np.ndarray:
+    """d/dx of :func:`_lg_modes`, or d/dy when ``along_y``.
 
     The partials come from the Wirtinger derivatives of the closed form,
-    using ``d/dx L^a_n = -L^(a+1)_(n-1)``; this route does not consult the
-    index-space ladder rules, so the two stay independent cross-checks.
+    using ``d/dx L^a_n = -L^(a+1)_(n-1)``; this route consults neither
+    the index-space ladder rules nor the modes at shifted indices, so the
+    two stay independent cross-checks. With e = n_plus - n_minus, the
+    powered variable w is z where e >= 0 and its conjugate elsewhere.
     """
+    e = n_plus - n_minus
+    lo, hi = np.minimum(n_plus, n_minus), np.maximum(n_plus, n_minus)
+    alpha = hi - lo
+    z = x + 1j * y
+    rho = x * x + y * y
+    gauss, dead = _gaussian(-0.5 * rho, z, rho)
+    zbar = np.conj(z)
+    power_base, other = np.where(e >= 0, z, zbar), np.where(e >= 0, zbar, z)
+    amp = _SQRT_FACTORIAL_RATIO[lo, hi] * (-1.0) ** lo
+    coeff = amp / np.sqrt(np.pi) * gauss
+    lag = laguerre(lo, alpha, rho)
+    dlag = -laguerre(np.maximum(lo - 1, 0), alpha + 1, rho) * (lo > 0)
+    pw = _z_power(z, e)
+    # alpha w**(alpha - 1) L, exactly +0 where alpha = 0, so that no
+    # signed zero reaches the sum
+    d_pw = np.where(alpha > 0, alpha * _z_power(z, e - np.sign(e)) * lag, 0)
+    # derivative along the powered variable and along the other one
+    d_power = coeff * (d_pw + pw * other * (dlag - 0.5 * lag))
+    d_other = coeff * pw * power_base * (dlag - 0.5 * lag)
+    dz, dzbar = np.where(e >= 0, d_power, d_other), np.where(e >= 0, d_other, d_power)
+    value = 1j * (dz - dzbar) if along_y else dz + dzbar
+    np.copyto(value, 0, where=dead)
+    return value
 
-    def __init__(self, index: ModeIndex):
-        index._require(Basis.LG)
-        self.index = index
+
+@dataclass(frozen=True)
+class _BasisField:
+    """Basis mode as a callable field with analytic partials, from its
+    family's value and partials kernels. The quanta ``(first, second)``
+    may also be integer arrays broadcasting against the points, so that
+    one field is a stack of modes, each entry with the bits of its own
+    field."""
+
+    first: int | np.ndarray
+    second: int | np.ndarray
+    value: Callable
+    partial: Callable
 
     def __call__(self, x, y):
-        return lg_mode(self.index, x, y)
+        return self.value(self.first, self.second, x, y)
 
-    def _wirtinger(self, x, y):
-        conjugated = self.index.first < self.index.second
-        lo, hi = sorted((self.index.first, self.index.second))
-        alpha = hi - lo
-        z = x + 1j * y
-        rho = x * x + y * y
-        gauss, dead = _gaussian(-0.5 * rho, z, rho)
-        zbar = np.conj(z)
-        power_base, other = (zbar, z) if conjugated else (z, zbar)
-        amp = _SQRT_FACTORIAL_RATIO[lo, hi] * (-1.0) ** lo
-        coeff = amp / np.sqrt(np.pi) * gauss
-        lag = laguerre(lo, alpha, rho)
-        dlag = -laguerre(lo - 1, alpha + 1, rho) if lo > 0 else 0.0
-        pw = power_base**alpha
-        # derivative along the powered variable and along the other one
-        d_power = coeff * (
-            (alpha * power_base ** (alpha - 1) * lag if alpha > 0 else 0.0)
-            + pw * other * (dlag - 0.5 * lag)
-        )
-        d_other = coeff * pw * power_base * (dlag - 0.5 * lag)
-        d_power[dead] = d_other[dead] = 0
-        return (d_other, d_power) if conjugated else (d_power, d_other)  # (d/dz, d/dzbar)
-
-    @_scalars_as_arrays(complex, "x", "y")
     def partial_x(self, x, y):
-        dz, dzbar = self._wirtinger(x, y)
-        return dz + dzbar
+        return self.partial(self.first, self.second, x, y, False)
 
-    @_scalars_as_arrays(complex, "x", "y")
     def partial_y(self, x, y):
-        dz, dzbar = self._wirtinger(x, y)
-        return 1j * (dz - dzbar)
+        return self.partial(self.first, self.second, x, y, True)
 
 
-def hg_field(index: ModeIndex) -> _HGField:
+def hg_field(index: ModeIndex) -> _BasisField:
     """Wrap an HG index as a field usable in analytic operator application."""
-    return _HGField(index)
+    index._require(Basis.HG)
+    return _BasisField(index.first, index.second, _hg_modes, _hg_partial)
 
 
-def lg_field(index: ModeIndex) -> _LGField:
+def lg_field(index: ModeIndex) -> _BasisField:
     """Wrap an LG index as a field usable in analytic operator application."""
-    return _LGField(index)
+    index._require(Basis.LG)
+    return _BasisField(index.first, index.second, _lg_modes, _lg_partial)
 
 
 @_scalars_as_arrays(complex, "x", "y")

@@ -30,14 +30,16 @@ depend on the block size or on where the point falls in a block: the
 bits equal those of a one-element call. The row buffers are local to
 each call, so the blocked routines stay pure as well.
 
-The degree of :func:`laguerre` and :func:`hermite_function_derivative`,
-and ``alpha``, may also be integer arrays broadcasting against ``x``.
-Such a call fills a table of every degree up to the largest by the same
-blocked recurrence and picks each point's entry from it, so each value
-keeps the bits of its own scalar-index call. The derivative has only
-this path: a scalar index also fills a table, of ``n + 2`` rows, built
-by ``_hermite_table`` as :func:`hermite_function_table` is, and takes
-the ladder relation from it.
+The degree of :func:`hermite_function`, :func:`laguerre` and
+:func:`hermite_function_derivative`, and ``alpha``, may also be integer
+arrays broadcasting against ``x``. Such a call fills a table of every
+degree up to the largest by the same blocked recurrence and picks each
+point's entry from it, so each value keeps the bits of its own
+scalar-index call; the two Hermite functions share that pick,
+``_hermite_columns``. The derivative has only this path: a scalar index
+also fills a table, of ``n + 2`` rows, built by ``_hermite_table`` as
+:func:`hermite_function_table` is, and takes the ladder relation from
+it.
 """
 
 from __future__ import annotations
@@ -288,7 +290,7 @@ def _hermite_rows(nmax: int, x: np.ndarray, rows, tmp: np.ndarray) -> None:
         np.subtract(new, tmp, out=new)
 
 
-@_scalars_as_arrays(float, "x")
+@_scalars_as_arrays(float, "x", indices={"n": MAX_DEGREE})
 def hermite_function(n: int, x) -> float | np.ndarray:
     """Orthonormal Hermite function h_n(x).
 
@@ -307,15 +309,30 @@ def hermite_function(n: int, x) -> float | np.ndarray:
     1.6e-264) and only the absolute error bound of 1e-253 holds.
     :func:`hermite_function_table` and :func:`hermite_function_derivative`
     share the recurrence and its range.
+
+    ``n`` may be an integer array broadcasting against ``x``, as
+    :func:`laguerre`'s degree may: then one table of every degree up to
+    the largest serves every point, which picks its entry from it and
+    keeps the bits of its own scalar-index call. A scalar ``n`` keeps the
+    blocked three-row recurrence and makes no full-size temporary.
     """
-    _check_degree(n)
-    return _blockwise(x, 3, lambda x, out, work: _hermite_rows(n, x, _ending_in(out, work, n), work[2]))
+    if not isinstance(n, np.ndarray):
+        return _blockwise(x, 3, lambda x, out, work: _hermite_rows(n, x, _ending_in(out, work, n), work[2]))
+    table, columns = _hermite_columns(int(np.max(n, initial=0)), x)
+    return table[n, columns]
 
 
 def _hermite_table(top: int, x: np.ndarray) -> np.ndarray:
     """h_0(x), ..., h_top(x) along a new leading axis. ``top`` is not
     checked, so the derivative may step to ``MAX_DEGREE + 1``."""
     return _blockwise(x, 1, lambda x, out, work: _hermite_rows(top, x, out, work[0]), (top + 1,))
+
+
+def _hermite_columns(top: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table of h_0(x), ..., h_top(x), one column per point of ``x``,
+    and each point's column, so that ``table[d, columns]`` picks h_d at
+    every point for a degree array ``d`` broadcasting against ``x``."""
+    return _hermite_table(top, x).reshape(top + 1, -1), np.arange(x.size).reshape(x.shape)
 
 
 def hermite_function_table(nmax: int, x) -> np.ndarray:
@@ -341,9 +358,7 @@ def hermite_function_derivative(n: int, x) -> float | np.ndarray:
     A scalar ``n`` holds that table too, of ``n + 2`` rows of ``x``'s
     size.
     """
-    top = int(np.max(n, initial=0)) + 1
-    table = _hermite_table(top, x).reshape(top + 1, -1)
-    columns = np.arange(x.size).reshape(x.shape)
+    table, columns = _hermite_columns(int(np.max(n, initial=0)) + 1, x)
     rise = np.sqrt((n + 1) / 2.0) * table[n + 1, columns]
     return np.where(n == 0, -rise, np.sqrt(n / 2.0) * table[n - 1, columns] - rise)
 

@@ -42,12 +42,11 @@ import numpy as np
 
 from . import beam as _beam
 from .modes import (
-    ANNIHILATED,
     LadderOp,
     ModeIndex,
+    _ladder_action,
     apply_operator_pointwise,
     hg_mode,
-    ladder_index_action,
     _lg_modes,
     lg_field,
     lg_mode,
@@ -412,15 +411,9 @@ def _suite_intertwine(seed: int) -> tuple:
         rng = np.random.default_rng([seed, 4, tag])
         xs, ys = rng.uniform(-2.0, 2.0, size=(npts, 2)).T
         lhs = apply_operator_pointwise(circ_op, _transformed_hg(cap, ys), xs, ys)
-        # index-space action on every HG(j, k); an annihilated mode
-        # keeps coefficient 0 and any valid target
-        coeff = np.zeros((cap + 1, cap + 1))
-        tj, tk = np.zeros_like(coeff, dtype=int), np.zeros_like(coeff, dtype=int)
-        for a in range(cap + 1):
-            for b in range(cap + 1):
-                c, target = ladder_index_action(cart_op, ModeIndex.hg(a, b))
-                if target is not ANNIHILATED:
-                    coeff[a, b], tj[a, b], tk[a, b] = c, target.first, target.second
+        # index-space action on every HG(j, k) at once; an annihilated
+        # mode has coefficient 0 and keeps its indices as its target
+        coeff, tj, tk = _ladder_action(cart_op, *_all_pairs(cap))
         rhs_quad = _sized((tj + tk).max(), ys)
         return lhs - coeff[..., None] * extended_wigner(_hg_stack(tj, tk), xs, ys, rhs_quad)
 

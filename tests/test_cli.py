@@ -494,6 +494,8 @@ def test_internal_value_error_exits_4(monkeypatch, tmp_path, capsys):
         (["wigner", "hg_general", "--indices", "0", "0", "0", "65"], "second index 65 outside"),
         (["wigner", "lg_general", "--indices", "1", "0"], "kind lg_general takes four indices, got 2"),
         (["wigner", "lg_general", "--indices", "0", "0", "0", "0"], "kind lg_general requires --points FILE"),
+        (["wigner", "hermite", "--indices", "1", "0", "--points", "pts.csv"], "kind hermite writes a grid and takes no --points"),
+        (["wigner", "lg_diag", "--indices", "1", "0", "--points", "pts.csv"], "kind lg_diag writes a grid and takes no --points"),
         (["modes", "lg", "--index", "0", "0", "--xmin=-inf"], "xmin must be finite"),
         (["modes", "lg", "--index", "0", "0", "--xmin=-inf", "--xmax=inf"], "xmin must be finite"),
         (["wigner", "lg_diag", "--indices", "0", "0", "--xi1", "nan"], "xi1 must be finite"),

@@ -1,15 +1,28 @@
 """Integer indices that broadcast like coordinates: the Laguerre polynomial,
-the Hermite derivative, the LG evaluator behind ``lg_mode`` and the closed
-forms take index arrays, and every value of a batched call has the bits of
-its own scalar-index call. Index arrays follow the scalar integer rule,
+the Hermite function and its derivative, the HG and LG evaluators behind
+``hg_mode`` and ``lg_mode``, their partials kernels (so the basis fields)
+and the closed forms take index arrays, and every value of a batched call
+has the bits of its own scalar-index call. Index arrays follow the scalar integer rule,
 and the per-point Laguerre path keeps the accuracy the docstring claims,
 against mpmath."""
 
 import numpy as np
 import pytest
 
-from lgwigner.modes import ModeIndex, _lg_modes, lg_mode
-from lgwigner.specfun import MAX_DEGREE, hermite_function_derivative, laguerre
+from lgwigner.modes import (
+    Basis,
+    ModeIndex,
+    _BasisField,
+    _hg_modes,
+    _hg_partial,
+    _lg_modes,
+    _lg_partial,
+    hg_field,
+    hg_mode,
+    lg_field,
+    lg_mode,
+)
+from lgwigner.specfun import MAX_DEGREE, hermite_function, hermite_function_derivative, laguerre
 from lgwigner.wigner import (
     PhasePoint4,
     wigner_hermite_closed,
@@ -62,15 +75,16 @@ def test_laguerre_index_arrays_broadcast_with_scalar_index_bits(n_shape, alpha_s
     assert _bits(got.ravel()) == _bits(np.array(want))
 
 
-def test_hermite_derivative_degree_stack_has_the_bits_of_each_degree():
+@pytest.mark.parametrize("form", [hermite_function, hermite_function_derivative], ids=lambda f: f.__name__)
+def test_hermite_degree_stack_has_the_bits_of_each_degree(form):
     rng = np.random.default_rng(182)
     x = np.concatenate([[0.0, -0.0, 38.0, -39.0], rng.uniform(-12.0, 12.0, 500)])
-    stack = hermite_function_derivative(np.arange(MAX_DEGREE + 1)[:, None], x)
+    stack = form(np.arange(MAX_DEGREE + 1)[:, None], x)
     for n in range(MAX_DEGREE + 1):
-        assert _bits(stack[n]) == _bits(hermite_function_derivative(n, x)), n
+        assert _bits(stack[n]) == _bits(form(n, x)), n
     degrees = rng.integers(0, MAX_DEGREE + 1, x.size)
-    want = [hermite_function_derivative(int(d), float(t)) for d, t in zip(degrees, x)]
-    assert _bits(hermite_function_derivative(degrees, x)) == _bits(np.array(want))
+    want = [form(int(d), float(t)) for d, t in zip(degrees, x)]
+    assert _bits(form(degrees, x)) == _bits(np.array(want))
 
 
 def _plane_points():
@@ -83,6 +97,7 @@ def _plane_points():
 
 
 _PAIR_FORMS = {
+    "hg_mode": (_hg_modes, lambda j, k, x, y: hg_mode(ModeIndex.hg(j, k), x, y)),
     "lg_mode": (_lg_modes, lambda j, k, x, y: lg_mode(ModeIndex.lg(j, k), x, y)),
     "wigner_hermite_closed": (wigner_hermite_closed, wigner_hermite_closed),
 }
@@ -98,6 +113,23 @@ def test_pair_stack_to_order_12_has_the_bits_of_each_pair(form):
     for j in range(13):
         for k in range(13):
             assert _bits(stack[j, k]) == _bits(single(j, k, x, y)), (j, k)
+
+
+#: basis -> (its basis fields' value kernel, partials kernel, per-index field)
+_FIELDS = {Basis.HG: (_hg_modes, _hg_partial, hg_field), Basis.LG: (_lg_modes, _lg_partial, lg_field)}
+
+
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda basis: basis.value)
+def test_batched_field_entries_have_the_bits_of_each_basis_field(basis):
+    value, partial, field = _FIELDS[basis]
+    x, y = _plane_points()
+    first, second = np.array([(a, order - a) for order in range(9) for a in range(order + 1)]).T
+    stack = _BasisField(first[:, None], second[:, None], value, partial)
+    for method in ("__call__", "partial_x", "partial_y"):
+        got = getattr(stack, method)(x, y)
+        assert got.shape == (first.size, x.size)
+        for row, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
+            assert _bits(got[row]) == _bits(getattr(field(ModeIndex(a, b, basis)), method)(x, y)), (method, a, b)
 
 
 def _drawn(count, nints, high):
@@ -130,7 +162,9 @@ def test_index_arrays_at_a_scalar_point_give_an_array_and_0d_indices_a_scalar():
     assert diag.shape == (4,) and diag[3] == wigner_lg_diag(3, 1, PhasePoint4(0.3, -0.5, 1.1, 0.7))
     assert type(laguerre(np.array(4), np.array(1), 2.5)) is float
     assert type(_lg_modes(np.int64(2), 1, 0.3, 0.2)) is complex
+    assert type(hermite_function(np.array(4), 2.5)) is float
     assert laguerre(np.array([], dtype=int), 0, 1.0).shape == (0,)
+    assert hermite_function(np.array([], dtype=int), 1.0).shape == (0,)
     assert hermite_function_derivative(np.array([], dtype=int), 1.0).shape == (0,)
 
 
@@ -139,8 +173,11 @@ def test_index_arrays_at_a_scalar_point_give_an_array_and_0d_indices_a_scalar():
 _INDEXED = {
     "laguerre n": (lambda i: laguerre(i, 2, 0.5), "n", (0, MAX_DEGREE)),
     "laguerre alpha": (lambda i: laguerre(3, i, 0.5), "alpha", (0, None)),
+    "hermite_function": (lambda i: hermite_function(i, 0.5), "n", (0, MAX_DEGREE)),
     "hermite_function_derivative": (lambda i: hermite_function_derivative(i, 0.5), "n", (0, MAX_DEGREE)),
     "lg evaluator": (lambda i: _lg_modes(1, i, 0.5, 0.2), "n_minus", (0, MAX_DEGREE)),
+    "hg partials": (lambda i: _hg_partial(i, 2, 0.5, 0.2, False), "j", (0, MAX_DEGREE)),
+    "lg partials": (lambda i: _lg_partial(1, i, 0.5, 0.2, True), "n_minus", (0, MAX_DEGREE)),
     "wigner_hermite_closed": (lambda i: wigner_hermite_closed(i, 2, 0.5, 0.2), "j", (0, MAX_DEGREE)),
     "wigner_lg_closed": (lambda i: wigner_lg_closed(1, 2, i, 0, PhasePoint4(0.1, 0.2, 0.3, 0.4)), "m", (0, MAX_DEGREE)),
     "wigner_hg_closed": (lambda i: wigner_hg_closed(1, 2, 0, i, PhasePoint4(0.1, 0.2, 0.3, 0.4)), "n", (0, MAX_DEGREE)),
@@ -205,8 +242,12 @@ _POINT4 = PhasePoint4(0.1, 0.2, 0.3, 0.4)
 #: signature order.
 _ARGS = {
     laguerre: {"n": 3, "alpha": 2, "x": 0.5},
+    hermite_function: {"n": 3, "x": 0.5},
     hermite_function_derivative: {"n": 3, "x": 0.5},
+    _hg_modes: {"j": 1, "k": 2, "x": 0.5, "y": 0.2},
+    _hg_partial: {"j": 1, "k": 2, "x": 0.5, "y": 0.2, "along_y": False},
     _lg_modes: {"n_plus": 1, "n_minus": 2, "x": 0.5, "y": 0.2},
+    _lg_partial: {"n_plus": 1, "n_minus": 2, "x": 0.5, "y": 0.2, "along_y": True},
     wigner_hermite_closed: {"j": 1, "k": 2, "x": 0.5, "y": 0.2},
     wigner_lg_closed: {"j": 1, "k": 2, "m": 0, "n": 3, "point": _POINT4},
     wigner_hg_closed: {"j": 1, "k": 2, "m": 0, "n": 3, "point": _POINT4},
@@ -218,9 +259,16 @@ _ARGS = {
 _DECLARED = [
     (laguerre, "n", MAX_DEGREE),
     (laguerre, "alpha", None),
+    (hermite_function, "n", MAX_DEGREE),
     (hermite_function_derivative, "n", MAX_DEGREE),
+    (_hg_modes, "j", MAX_DEGREE),
+    (_hg_modes, "k", MAX_DEGREE),
+    (_hg_partial, "j", MAX_DEGREE),
+    (_hg_partial, "k", MAX_DEGREE),
     (_lg_modes, "n_plus", MAX_DEGREE),
     (_lg_modes, "n_minus", MAX_DEGREE),
+    (_lg_partial, "n_plus", MAX_DEGREE),
+    (_lg_partial, "n_minus", MAX_DEGREE),
     (wigner_hermite_closed, "j", MAX_DEGREE),
     (wigner_hermite_closed, "k", MAX_DEGREE),
     (wigner_lg_closed, "j", MAX_DEGREE),

@@ -8,11 +8,18 @@ import numpy as np
 import pytest
 
 from lgwigner import specfun
+from lgwigner.specfun import MAX_DEGREE
 from lgwigner.modes import (
     ANNIHILATED,
     Basis,
     LadderOp,
     ModeIndex,
+    _BasisField,
+    _hg_modes,
+    _hg_partial,
+    _ladder_action,
+    _lg_modes,
+    _lg_partial,
     apply_operator_pointwise,
     hg_field,
     hg_mode,
@@ -179,24 +186,44 @@ def test_apply_operator_accepts_point_arrays():
         assert type(apply_operator_pointwise(op, fld, 0.4, -0.9)) is complex
 
 
+#: basis -> its basis fields' (value kernel, partials kernel)
+_KERNELS = {Basis.HG: (_hg_modes, _hg_partial), Basis.LG: (_lg_modes, _lg_partial)}
+
+
 def test_pointwise_ladder_consistency_random():
-    # every operator on every mode of its basis up to order 8 whose target
-    # order is at most 8, against the index-space action
+    # every operator on every mode of its basis whose order and target
+    # order are at most 64, one batched call per operator, against the
+    # index-space action; the pairs to order 8 keep their tighter bound
     x, y = np.random.default_rng(12).uniform(-3.0, 3.0, size=(2, 40))
-    pairs = 0
+    first, second = np.array([(a, order - a) for order in range(MAX_DEGREE + 1) for a in range(order + 1)]).T
+    pairs = low_pairs = 0
     for op in LadderOp:
-        basis = Basis.HG if op.value.startswith("a") else Basis.LG
-        mode, field = (hg_mode, hg_field) if basis is Basis.HG else (lg_mode, lg_field)
-        for order in range(9):
-            for first in range(order + 1):
-                idx = ModeIndex(first, order - first, basis)
-                coeff, target = ladder_index_action(op, idx)
-                if target is not ANNIHILATED and target.first + target.second > 8:
-                    continue
-                want = 0.0 if target is ANNIHILATED else coeff * mode(target, x, y)
-                assert np.max(np.abs(apply_operator_pointwise(op, field(idx), x, y) - want)) <= 1e-14
-                pairs += 1
-    assert pairs == 324
+        value, partial = _KERNELS[Basis.HG if op.value.startswith("a") else Basis.LG]
+        coeff, to_first, to_second = _ladder_action(op, first, second)
+        keep = to_first + to_second <= MAX_DEGREE
+        field = _BasisField(first[keep, None], second[keep, None], value, partial)
+        want = coeff[keep, None] * value(to_first[keep, None], to_second[keep, None], x, y)
+        err = np.abs(apply_operator_pointwise(op, field, x, y) - want).max(axis=1)
+        low = np.maximum(first + second, to_first + to_second)[keep] <= 8
+        assert err[low].max() <= 1e-14
+        assert err.max() <= 1e-12
+        pairs += keep.sum()
+        low_pairs += low.sum()
+    assert (pairs, low_pairs) == (16_900, 324)
+
+
+@pytest.mark.parametrize("op", list(LadderOp), ids=lambda op: op.value)
+def test_ladder_action_entries_match_ladder_index_action(op):
+    basis = Basis.HG if op.value.startswith("a") else Basis.LG
+    first, second = np.array([(a, order - a) for order in range(MAX_DEGREE) for a in range(order + 1)]).T
+    coeff, to_first, to_second = _ladder_action(op, first[:, None], second[:, None])
+    for row, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
+        got, target = ladder_index_action(op, ModeIndex(a, b, basis))
+        if target is ANNIHILATED:
+            assert (got, coeff[row, 0], to_first[row, 0], to_second[row, 0]) == (0.0, 0.0, a, b)
+        else:
+            assert type(got) is np.float64 and got == coeff[row, 0]
+            assert target == ModeIndex(int(to_first[row, 0]), int(to_second[row, 0]), basis)
 
 
 class _Ramp:

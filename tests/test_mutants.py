@@ -100,7 +100,7 @@ CATALOGUE = {
         "(-1.0) ** (_DEGREES + 1)",
         ("hermite_closed_vs_quadrature", "lg_mode_equals_hermite_closed"),
     ),
-    # no verify check reaches _LGField's Wirtinger partials
+    # no verify check reaches the LG partials kernel, _lg_partial
     "lg_field_d_other_sign": Mutant(
         "modes.py",
         "d_other = coeff * pw * power_base",
