@@ -190,12 +190,17 @@ def test_apply_operator_accepts_point_arrays():
 _KERNELS = {Basis.HG: (_hg_modes, _hg_partial), Basis.LG: (_lg_modes, _lg_partial)}
 
 
+def _modes_to_order(top):
+    """Index arrays (first, second) of every mode of order at most ``top``."""
+    return np.array([(a, order - a) for order in range(top + 1) for a in range(order + 1)]).T
+
+
 def test_pointwise_ladder_consistency_random():
     # every operator on every mode of its basis whose order and target
     # order are at most 64, one batched call per operator, against the
     # index-space action; the pairs to order 8 keep their tighter bound
     x, y = np.random.default_rng(12).uniform(-3.0, 3.0, size=(2, 40))
-    first, second = np.array([(a, order - a) for order in range(MAX_DEGREE + 1) for a in range(order + 1)]).T
+    first, second = _modes_to_order(MAX_DEGREE)
     pairs = low_pairs = 0
     for op in LadderOp:
         value, partial = _KERNELS[Basis.HG if op.value.startswith("a") else Basis.LG]
@@ -215,15 +220,15 @@ def test_pointwise_ladder_consistency_random():
 @pytest.mark.parametrize("op", list(LadderOp), ids=lambda op: op.value)
 def test_ladder_action_entries_match_ladder_index_action(op):
     basis = Basis.HG if op.value.startswith("a") else Basis.LG
-    first, second = np.array([(a, order - a) for order in range(MAX_DEGREE) for a in range(order + 1)]).T
-    coeff, to_first, to_second = _ladder_action(op, first[:, None], second[:, None])
+    first, second = _modes_to_order(MAX_DEGREE - 1)
+    coeff, to_first, to_second = _ladder_action(op, first, second)
     for row, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
         got, target = ladder_index_action(op, ModeIndex(a, b, basis))
         if target is ANNIHILATED:
-            assert (got, coeff[row, 0], to_first[row, 0], to_second[row, 0]) == (0.0, 0.0, a, b)
+            assert (got, coeff[row], to_first[row], to_second[row]) == (0.0, 0.0, a, b)
         else:
-            assert type(got) is np.float64 and got == coeff[row, 0]
-            assert target == ModeIndex(int(to_first[row, 0]), int(to_second[row, 0]), basis)
+            assert type(got) is np.float64 and got == coeff[row]
+            assert target == ModeIndex(int(to_first[row]), int(to_second[row]), basis)
 
 
 class _Ramp:
