@@ -3,10 +3,13 @@
 Subcommands: ``modes`` and ``beam`` evaluate fields on rectangular grids
 and write CSV (optionally a grayscale magnitude image for modes),
 ``wigner`` evaluates closed forms on grids, slices, or point lists, and
-``verify`` runs the identity suites with exit-code semantics.
+``verify`` runs the identity suites with exit-code semantics. Each
+``wigner`` kind is a subcommand of its own that takes only the flags it
+uses; ``lgwigner wigner KIND -h`` lists them.
 
 Exit codes: 0 success (verification passed), 1 verification failure,
-2 usage error, 3 I/O failure, 4 internal error (any other exception).
+2 usage error (a flag the subcommand or kind does not take included),
+3 I/O failure, 4 internal error (any other exception).
 User input is validated here, before any library call, so exit 2 means
 the input was refused and a library exception always means exit 4.
 Coordinates (grid bounds, ``--xi1``/``--xi2``, ``--z``, points-file
@@ -332,28 +335,21 @@ def cmd_modes(args) -> int:
     return _evaluate_and_write(args, f"modes {args.kind} ({j},{k})", evaluate, write)
 
 
-def cmd_wigner(args) -> int:
-    if args.kind in ("hermite", "lg_diag"):
-        if len(args.indices) != 2:
-            raise UsageError(f"kind {args.kind} takes two indices, got {len(args.indices)}")
-        if args.points:
-            raise UsageError(f"kind {args.kind} writes a grid and takes no --points")
-        j, k = args.indices
-        _validated(ModeIndex.lg, j, k)
-        xs, ys = _grid_axes(args)
-        if args.kind == "hermite":
-            evaluate = functools.partial(wigner_hermite_closed, j, k, xs[:, None], ys[None, :])
-        else:
-            _require_coordinates(xi1=args.xi1, xi2=args.xi2)
-            point = PhasePoint4(xs[:, None], ys[None, :], args.xi1, args.xi2)
-            evaluate = functools.partial(wigner_lg_diag, j, k, point)
-        write = functools.partial(_write_grid_csv, args.out, xs, ys)
-        return _evaluate_and_write(args, f"wigner {args.kind} ({j},{k})", evaluate, write)
+def cmd_wigner_grid(args) -> int:
+    j, k = args.indices
+    _validated(ModeIndex.lg, j, k)
+    xs, ys = _grid_axes(args)
+    if args.kind == "hermite":
+        evaluate = functools.partial(wigner_hermite_closed, j, k, xs[:, None], ys[None, :])
+    else:
+        _require_coordinates(xi1=args.xi1, xi2=args.xi2)
+        point = PhasePoint4(xs[:, None], ys[None, :], args.xi1, args.xi2)
+        evaluate = functools.partial(wigner_lg_diag, j, k, point)
+    write = functools.partial(_write_grid_csv, args.out, xs, ys)
+    return _evaluate_and_write(args, f"wigner {args.kind} ({j},{k})", evaluate, write)
 
-    if len(args.indices) != 4:
-        raise UsageError(f"kind {args.kind} takes four indices, got {len(args.indices)}")
-    if not args.points:
-        raise UsageError(f"kind {args.kind} requires --points FILE")
+
+def cmd_wigner_points(args) -> int:
     j, k, m, n = args.indices
     lg = args.kind == "lg_general"
     index = ModeIndex.lg if lg else ModeIndex.hg
@@ -382,8 +378,6 @@ def cmd_beam(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITE_NAMES:
-        raise UsageError(f"unknown suite name {args.suite!r}; expected one of {SUITE_NAMES}")
     if args.seed < 0:
         raise UsageError(f"seed must be non-negative, got {args.seed}")
     report = run_suite(args.suite, seed=args.seed)
@@ -409,33 +403,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the flags of the three subcommands that evaluate and write a CSV
-    evaluating = argparse.ArgumentParser(add_help=False)
+    # the flags of every parser that evaluates and writes a CSV, and of
+    # those that write it on a grid
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", required=True, help="output CSV path")
+    output.add_argument("--timings", action="store_true", help="print evaluate and format+write seconds on stderr")
+    grid = argparse.ArgumentParser(add_help=False, parents=[output])
     for axis in "xy":
-        evaluating.add_argument(f"--{axis}min", type=float, default=-4.0)
-        evaluating.add_argument(f"--{axis}max", type=float, default=4.0)
-        evaluating.add_argument(f"--n{axis}", type=int, default=128)
-    evaluating.add_argument("--out", required=True, help="output CSV path")
-    evaluating.add_argument("--timings", action="store_true", help="print evaluate and format+write seconds on stderr")
+        grid.add_argument(f"--{axis}min", type=float, default=-4.0)
+        grid.add_argument(f"--{axis}max", type=float, default=4.0)
+        grid.add_argument(f"--n{axis}", type=int, default=128)
 
-    p_modes = sub.add_parser("modes", parents=[evaluating], help="evaluate an HG or LG mode on a grid")
+    p_modes = sub.add_parser("modes", parents=[grid], help="evaluate an HG or LG mode on a grid")
     p_modes.add_argument("kind", choices=("hg", "lg"))
     p_modes.add_argument("--index", type=int, nargs=2, required=True, metavar=("J", "K"))
     p_modes.add_argument("--image", help="optional PGM magnitude image path")
     p_modes.set_defaults(func=cmd_modes)
 
-    p_wig = sub.add_parser("wigner", parents=[evaluating], help="evaluate Wigner closed forms")
-    p_wig.add_argument("kind", choices=("hermite", "lg_diag", "lg_general", "hg_general"))
-    p_wig.add_argument(
-        "--indices", type=int, nargs="+", required=True,
-        help="two degrees for hermite/lg_diag, four for the general kinds",
-    )
-    p_wig.add_argument("--xi1", type=float, default=0.0, help="fixed xi1 for lg_diag slices")
-    p_wig.add_argument("--xi2", type=float, default=0.0, help="fixed xi2 for lg_diag slices")
-    p_wig.add_argument("--points", help="CSV of x1,x2,xi1,xi2 rows for the general kinds")
-    p_wig.set_defaults(func=cmd_wigner)
+    p_wig = sub.add_parser("wigner", help="evaluate Wigner closed forms")
+    kinds = p_wig.add_subparsers(dest="kind", required=True)
+    p_hermite = kinds.add_parser("hermite", parents=[grid], help="W(h_j, h_k) on an (x, y) grid")
+    p_diag = kinds.add_parser("lg_diag", parents=[grid], help="diagonal LG transform on an (x1, x2) slice")
+    for p in (p_hermite, p_diag):
+        p.add_argument("--indices", type=int, nargs=2, required=True, metavar=("J", "K"))
+        p.set_defaults(func=cmd_wigner_grid)
+    p_diag.add_argument("--xi1", type=float, default=0.0, help="fixed xi1 of the slice")
+    p_diag.add_argument("--xi2", type=float, default=0.0, help="fixed xi2 of the slice")
+    for kind in ("lg_general", "hg_general"):
+        p = kinds.add_parser(kind, parents=[output], help=f"general {kind[:2].upper()} transform at listed points")
+        p.add_argument("--indices", type=int, nargs=4, required=True, metavar=("J", "K", "M", "N"))
+        p.add_argument("--points", required=True, help="CSV of x1,x2,xi1,xi2 rows")
+        p.set_defaults(func=cmd_wigner_points)
 
-    p_beam = sub.add_parser("beam", parents=[evaluating], help="evaluate a transverse beam slice")
+    p_beam = sub.add_parser("beam", parents=[grid], help="evaluate a transverse beam slice")
     p_beam.add_argument("--index", type=int, nargs=2, required=True, metavar=("P", "ELL"))
     p_beam.add_argument("--w0", type=float, required=True, help="waist radius")
     p_beam.add_argument("--k", type=float, required=True, help="wavenumber")
@@ -443,12 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_beam.set_defaults(func=cmd_beam)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite")
+    p_ver.add_argument("suite", choices=SUITE_NAMES)
     p_ver.add_argument("--seed", type=int, default=7)
     p_ver.add_argument("--out", help="write the JSON report here")
     p_ver.set_defaults(func=cmd_verify)
 
-    for each in (parser, *sub.choices.values()):
+    for each in (parser, *sub.choices.values(), *kinds.choices.values()):
         each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 

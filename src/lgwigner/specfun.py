@@ -202,9 +202,10 @@ def _scalars_as_arrays(kind: type, *coords: str, indices: dict | None = None):
     so this is the one place an evaluator's indices are declared and
     checked. When every coordinate is a scalar, 0-d arrays included, and
     a dataclass point counts by its fields, the kernel runs on one-element
-    arrays and, when every index is a scalar too, returns its single value
-    as ``kind``. Numpy rounds scalar arithmetic apart from array
-    arithmetic, so this gives a point the same bits alone as in an array.
+    arrays and, when every index is a scalar too and the kernel returns
+    one value, returns that value as ``kind``. Numpy rounds scalar
+    arithmetic apart from array arithmetic, so this gives a point the same
+    bits alone as in an array.
     """
     indices = indices or {}
 
@@ -225,8 +226,11 @@ def _scalars_as_arrays(kind: type, *coords: str, indices: dict | None = None):
                 return kernel(*args, **kwargs)
             args, kwargs = each(lambda v, name: _one_element(v), coords, args, kwargs)
             value = kernel(*args, **kwargs)
-            # one-element coordinates broadcast to an index array's shape
-            return value if any(isinstance(named.get(name), np.ndarray) for name in indices) else kind(value.item())
+            # one-element coordinates broadcast to the shape of an index
+            # array, or of the values of a stacked field passed in
+            if value.size != 1 or any(isinstance(named.get(name), np.ndarray) for name in indices):
+                return value
+            return kind(value.item())
 
         return evaluate
 

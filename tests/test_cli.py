@@ -194,9 +194,41 @@ def test_wigner_points_file_only_exact_header_skipped(tmp_path, capsys, text, me
     assert not out.exists()
 
 
-def test_wigner_wrong_index_count(tmp_path):
+def _refused_by_the_parser(argv, capsys):
+    """stderr of ``cli.main(argv)``, which must stop in argparse with exit
+    2 and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, indices, message",
+    [
+        ("hermite", ["1", "2", "3"], "unrecognized arguments: 3"),
+        ("lg_diag", ["1"], "argument --indices: expected 2 arguments"),
+        ("lg_general", ["1", "0"], "argument --indices: expected 4 arguments"),
+        ("hg_general", ["1", "0", "0", "1", "2"], "unrecognized arguments: 2"),
+    ],
+)
+def test_wigner_wrong_index_count(tmp_path, capsys, kind, indices, message):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0.5,0.5,0.5\n")
     out = tmp_path / "x.csv"
-    assert cli.main(["wigner", "hermite", "--indices", "1", "2", "3", "--out", str(out)]) == 2
+    points = ["--points", str(pts)] if kind.endswith("_general") else []
+    assert message in _refused_by_the_parser(["wigner", kind, "--indices", *indices, *points, "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["lg_general", "hg_general"])
+def test_wigner_general_kinds_require_points(tmp_path, capsys, kind):
+    out = tmp_path / "x.csv"
+    err = _refused_by_the_parser(["wigner", kind, "--indices", "0", "0", "0", "0", "--out", str(out)], capsys)
+    assert "the following arguments are required: --points" in err
+    assert not out.exists()
 
 
 def test_beam_slice(tmp_path):
@@ -290,9 +322,11 @@ def test_verify_runs_the_one_budget(tmp_path):
     assert not flagged.exists()
 
 
-def test_verify_unknown_suite_exits_2(capsys):
-    assert cli.main(["verify", "bogus"]) == 2
-    assert "unknown suite" in capsys.readouterr().err
+def test_verify_unknown_suite_exits_2(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    err = _refused_by_the_parser(["verify", "bogus", "--out", str(report)], capsys)
+    assert "argument suite: invalid choice: 'bogus'" in err
+    assert not report.exists()
 
 
 def test_verify_failure_exits_1(monkeypatch, tmp_path):
@@ -409,29 +443,66 @@ def test_usage_errors_exit_2(tmp_path):
 _GRID_FLAGS = ("--xmin", "--xmax", "--nx", "--ymin", "--ymax", "--ny")
 
 
+#: wigner kind -> the flags it takes, -h aside
+_WIGNER_FLAGS = {
+    "hermite": {"--indices", *_GRID_FLAGS, "--out", "--timings"},
+    "lg_diag": {"--indices", *_GRID_FLAGS, "--xi1", "--xi2", "--out", "--timings"},
+    "lg_general": {"--indices", "--points", "--out", "--timings"},
+    "hg_general": {"--indices", "--points", "--out", "--timings"},
+}
+
+
+def _subparsers(parser):
+    """Subcommand name -> its parser."""
+    return next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def _subcommand_flags(parser):
     """Subcommand -> (its positionals by name, its option strings)."""
-    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
     return {
         name: (
             [action.dest for action in p._actions if not action.option_strings],
             {string for action in p._actions for string in action.option_strings},
         )
-        for name, p in sub.choices.items()
+        for name, p in _subparsers(parser).items()
     }
 
 
 def test_each_subcommand_keeps_its_flags():
     help_ = {"-h", "--help"}
-    assert _subcommand_flags(cli.build_parser()) == {
+    parser = cli.build_parser()
+    assert _subcommand_flags(parser) == {
         "modes": (["kind"], {*help_, "--index", *_GRID_FLAGS, "--out", "--image", "--timings"}),
-        "wigner": (
-            ["kind"],
-            {*help_, "--indices", *_GRID_FLAGS, "--xi1", "--xi2", "--points", "--out", "--timings"},
-        ),
+        "wigner": (["kind"], help_),
         "beam": ([], {*help_, "--index", "--w0", "--k", "--z", *_GRID_FLAGS, "--out", "--timings"}),
         "verify": (["suite"], {*help_, "--seed", "--out"}),
     }
+    kinds = _subcommand_flags(_subparsers(parser)["wigner"])
+    assert kinds == {kind: ([], {*help_, *flags}) for kind, flags in _WIGNER_FLAGS.items()}
+    assert {kind: len(flags) for kind, flags in _WIGNER_FLAGS.items()} == {
+        "hermite": 9, "lg_diag": 11, "lg_general": 4, "hg_general": 4,
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [
+        (kind, flag)
+        for kind, flags in _WIGNER_FLAGS.items()
+        for flag in sorted(set().union(*_WIGNER_FLAGS.values()) - flags)
+    ],
+)
+def test_each_wigner_kind_refuses_the_flags_it_does_not_take(tmp_path, capsys, kind, flag):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0.5,0.5,0.5\n")
+    if kind.endswith("_general"):
+        argv = ["wigner", kind, "--indices", "1", "0", "0", "1", "--points", str(pts)]
+    else:
+        argv = ["wigner", kind, "--indices", "1", "0", "--nx", "3", "--ny", "3"]
+    value = str(pts) if flag == "--points" else "3"
+    err = _refused_by_the_parser(argv + [flag, value, "--out", str(tmp_path / "never.csv")], capsys)
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["pts.csv"]
 
 
 @pytest.mark.parametrize(
@@ -492,10 +563,6 @@ def test_internal_value_error_exits_4(monkeypatch, tmp_path, capsys):
         (["modes", "hg", "--index", "65", "0"], "first index 65 outside supported range [0, 64]"),
         (["wigner", "hermite", "--indices", "65", "0"], "first index 65 outside"),
         (["wigner", "hg_general", "--indices", "0", "0", "0", "65"], "second index 65 outside"),
-        (["wigner", "lg_general", "--indices", "1", "0"], "kind lg_general takes four indices, got 2"),
-        (["wigner", "lg_general", "--indices", "0", "0", "0", "0"], "kind lg_general requires --points FILE"),
-        (["wigner", "hermite", "--indices", "1", "0", "--points", "pts.csv"], "kind hermite writes a grid and takes no --points"),
-        (["wigner", "lg_diag", "--indices", "1", "0", "--points", "pts.csv"], "kind lg_diag writes a grid and takes no --points"),
         (["modes", "lg", "--index", "0", "0", "--xmin=-inf"], "xmin must be finite"),
         (["modes", "lg", "--index", "0", "0", "--xmin=-inf", "--xmax=inf"], "xmin must be finite"),
         (["wigner", "lg_diag", "--indices", "0", "0", "--xi1", "nan"], "xi1 must be finite"),

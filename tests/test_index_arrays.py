@@ -11,12 +11,14 @@ import pytest
 
 from lgwigner.modes import (
     Basis,
+    LadderOp,
     ModeIndex,
     _BasisField,
     _hg_modes,
     _hg_partial,
     _lg_modes,
     _lg_partial,
+    apply_operator_pointwise,
     hg_field,
     hg_mode,
     lg_field,
@@ -130,6 +132,16 @@ def test_batched_field_entries_have_the_bits_of_each_basis_field(basis):
         assert got.shape == (first.size, x.size)
         for row, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
             assert _bits(got[row]) == _bits(getattr(field(ModeIndex(a, b, basis)), method)(x, y)), (method, a, b)
+
+
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda basis: basis.value)
+def test_ladder_operators_on_a_stacked_field_at_a_scalar_point_give_its_array(basis):
+    value, partial, _ = _FIELDS[basis]
+    stack = _BasisField(np.arange(3), 0, value, partial)
+    for op in LadderOp:
+        got = apply_operator_pointwise(op, stack, 0.3, 0.2)
+        assert isinstance(got, np.ndarray) and got.shape == (3,), op
+        assert _bits(got) == _bits(apply_operator_pointwise(op, stack, np.array([0.3]), np.array([0.2]))), op
 
 
 def _drawn(count, nints, high):
