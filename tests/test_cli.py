@@ -506,6 +506,21 @@ def test_each_wigner_kind_refuses_the_flags_it_does_not_take(tmp_path, capsys, k
 
 
 @pytest.mark.parametrize(
+    "argv, prog",
+    [
+        (["wigner", "hermite", "--indices", "1", "0", "--xi1", "0.5"], "lgwigner wigner hermite"),
+        (["modes", "lg", "--index", "1", "0", "--bogus", "3"], "lgwigner modes"),
+    ],
+)
+def test_an_unknown_flag_is_reported_with_the_usage_of_the_parser_given_it(tmp_path, capsys, argv, prog):
+    out = tmp_path / "never.csv"
+    err = _refused_by_the_parser(argv + ["--out", str(out)], capsys)
+    assert err.startswith(f"usage: {prog} [-h] ")
+    assert err.endswith(f"\n{prog}: error: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["modes", "lg", "--index", "1", "0"],
