@@ -66,11 +66,12 @@ def _flog2pow10(e):
     return (e * 913_124_641_741) >> 38
 
 
-def _g_limbs() -> tuple[np.ndarray, ...]:
+def _g_tables() -> tuple[np.ndarray, ...]:
     """The 32-bit limbs (g1 high, g1 low, g0 high, g0 low) of
     ``g = floor(10^e 2^-r) + 1 = g1 2^63 + g0``, with
-    ``r = flog2pow10(e) - 125``, for e in [_E_MIN, _E_MAX]."""
-    limbs = []
+    ``r = flog2pow10(e) - 125``, for e in [_E_MIN, _E_MAX]; and
+    ``g / 2^125`` rounded to float64."""
+    limbs, scaled = [], []
     power = 10**-_E_MIN  # 10^|e|
     for e in range(_E_MIN, _E_MAX + 1):
         r = _flog2pow10(e) - 125
@@ -82,15 +83,22 @@ def _g_limbs() -> tuple[np.ndarray, ...]:
             power *= 10
         g1, g0 = g >> 63, g & _M63
         limbs += (g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32)
-    return tuple(np.array(limbs, dtype=np.uint64).reshape(-1, 4).T.copy())
+        scaled.append(g / 2**125)
+    return (*np.array(limbs, dtype=np.uint64).reshape(-1, 4).T.copy(), np.array(scaled))
 
 
-_G = _g_limbs()
+*_G, _G_SCALED = _g_tables()
+
+#: Below this distance a float estimate of an interval test is not
+#: trusted (its error is below 2^-43; see _shortest)
+_UNSURE = 2.0**-32
 
 
 def _rop(g, cp):
-    """Java's ``rop``: the 126-bit ``g`` (its four 32-bit limbs) times
-    ``cp`` (< 2^63), divided by 2^127 and rounded to odd.
+    """Java's ``rop`` in two parts: the 126-bit ``g`` (its four 32-bit
+    limbs) times ``cp`` (< 2^63), over 2^127, as its whole part and its
+    fraction in units of 2^-63. Java's rounded-to-odd value is
+    ``_odd(*_rop(g, cp))``.
 
     g1 = g >> 63 and g0 = g mod 2^63 are below 2^63, so their high limbs
     are below 2^31, and so is cp's: the two cross products of a limb
@@ -106,7 +114,20 @@ def _rop(g, cp):
     y1 = g1h * ch + (cross >> 32) + (mid >> 32)
     y0 = (mid << 32) | (low & _M32)
     z = (y0 >> 1) + x1
-    return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+    return y1 + (z >> 63), z & _M63
+
+
+def _odd(whole, fraction):
+    """The whole part, its last bit set where the fraction is not 0."""
+    return whole | ((fraction + _M63) >> 63)
+
+
+def _inside(g, h, cb, asym, odd, s, sp10):
+    """Whether s, s + 1, sp10 and sp10 + 10 (in units of 10^k) lie in the
+    rounding interval, from Java's rounded-to-odd interval ends."""
+    vbl = _odd(*_rop(g, (cb - 2 + asym) << h))
+    vbr = _odd(*_rop(g, (cb + 2) << h))
+    return vbl + odd <= s << 2, ((s + 1) << 2) + odd <= vbr, vbl + odd <= sp10 << 2, ((sp10 + 10) << 2) + odd <= vbr
 
 
 def _shortest(bits):
@@ -121,25 +142,34 @@ def _shortest(bits):
     asym = (t == 0) & (bq > 1)
     k = np.where(asym, _flog10_three_quarters_pow2(q), _flog10pow2(q))
     h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    g = [limb.take(-k - _E_MIN) for limb in _G]
+    index = -k - _E_MIN
+    g = [limb.take(index) for limb in _G]
     cb = c << 2
     odd = c & 1  # an odd significand's interval excludes its ends
-    vb = _rop(g, cb << h)
-    vbl = _rop(g, (cb - 2 + asym) << h)
-    vbr = _rop(g, (cb + 2) << h)
-    # vb, vbl and vbr are four times the value and the interval's ends in
-    # units of 10^k; s and s + 1 are the value's neighbours in those units
-    s = vb >> 2
+    # four times the value in units of 10^k; s and s + 1 are its neighbours
+    whole, fraction = _rop(g, cb << h)
+    s = whole >> 2
     sp10 = s // 10 * 10
-    tp10 = sp10 + 10
-    upin = vbl + odd <= sp10 << 2
-    wpin = (tp10 << 2) + odd <= vbr
-    uin = vbl + odd <= s << 2
-    win = ((s + 1) << 2) + odd <= vbr
-    mid = (s << 2) + 2  # 4 (s + 1/2)
-    nearer_s = (vb < mid) | ((vb == mid) & ((s & 1) == 0))
+    # The interval tests in floats, in units of 10^k / 4: the value less
+    # 4 s, and the half-widths 2 u (u below if asym), u = 10^-k 2^q =
+    # g 2^(h - 127). Each estimate is within 2^-43 of its exact value, so
+    # its sign is exact where it is further than _UNSURE from 0; the
+    # other elements take Java's exact tests.
+    x = (whole & 3) + fraction * 2.0**-63
+    u = np.ldexp(_G_SCALED.take(index), h.astype(np.int64) - 2)
+    low, high = x - u * (2 - asym), x + 2 * u
+    a = 4.0 * (s - sp10)
+    tests = [low, high - 4, low + a, high + a - 40]
+    unsure = np.flatnonzero(np.minimum.reduce([np.abs(test) for test in tests]) < _UNSURE)
+    uin, win, upin, wpin = tests[0] < 0, tests[1] > 0, tests[2] < 0, tests[3] > 0
+    if unsure.size:
+        exact = _inside(*([v[unsure] for v in g], *(v[unsure] for v in (h, cb, asym, odd, s, sp10))))
+        for test, value in zip((uin, win, upin, wpin), exact):
+            test[unsure] = value
+    b = whole & 3
+    nearer_s = (b < 2) | ((b == 2) & (fraction == 0) & ((s & 1) == 0))
     d = np.where(np.where(uin != win, uin, nearer_s), s, s + 1)
-    d = np.where(upin != wpin, np.where(upin, sp10, tp10), d)
+    d = np.where(upin != wpin, np.where(upin, sp10, sp10 + 10), d)
     return d, k
 
 

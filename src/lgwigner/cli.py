@@ -27,8 +27,8 @@ changes nothing else.
 
 Every CSV float is written as the bytes of its ``repr``, the shortest
 decimal that round-trips. :func:`lgwigner._floatrepr.format_floats`
-computes them for whole arrays, 4,096 rows at a time, at ~0.25-0.35 µs a
-value against ~0.65 µs for ``repr`` (2 shared cores); each file's axis
+computes them for whole arrays, 4,096 rows at a time, at ~0.17-0.20 µs a
+value against ~0.7 µs for ``repr`` (2 shared cores); each file's axis
 coordinates are formatted once. Formatting still dominates a large
 file, so rows are formatted by up to one process per usable CPU (the
 CPU affinity, or the CPU count where that is missing), at most one per
@@ -250,7 +250,7 @@ def _write_grid_csv(path: str, xs, ys, values) -> None:
 
     def columns(start: int, stop: int) -> list:
         i, j = np.divmod(np.arange(start, stop), len(ys))
-        return [xs[i], ys[j]]
+        return [xs.take(i, axis=0), ys.take(j, axis=0)]
 
     _write_spans(path, "x,y,re,im\n", np.asarray(values).reshape(-1), _GRID_ROWS_PER_SPAN, columns)
 
