@@ -10,9 +10,13 @@ compare Adams, "Ryu", PLDI 2018), run on whole uint64 arrays:
 - ``10^e`` for e in [-292, 324] is held as a 126-bit ``g`` (Java's
   table, built at import from exact Python ints), so that
   ``10^e = g * 2^r`` up to the last bit of ``g``;
-- the value and the two ends of its rounding interval, scaled by
-  ``10^-k`` (``k`` from the binary exponent), are rounded to odd from
-  their 64 x 126-bit products with ``g``, done on 32-bit limbs;
+- the value, scaled by ``10^-k`` (``k`` from the binary exponent), is
+  rounded to odd from its 64 x 126-bit product with ``g``, done on
+  32-bit limbs;
+- which of its neighbours and of the multiples of ten around it lie in
+  its rounding interval is read from float estimates where they are
+  clearly away from a tie, and elsewhere from the interval ends' own
+  products, as Java computes them;
 - a multiple of ten inside the interval is taken if there is one (it
   is shorter); otherwise the closer of the two neighbours of the value.
 

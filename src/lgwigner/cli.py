@@ -85,8 +85,8 @@ _COORD_LIMIT = 1e150
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 #: Fewest CSV rows per formatting process: forking one more child of a
-#: ~65 MB process costs ~5 ms, the time to format ~2k complex rows, so a
-#: chunk this size formats in 7-9 times what its fork costs
+#: ~50 MB process costs ~4 ms, the time to format ~7k complex rows, so a
+#: chunk this size formats in about twice what its fork costs
 _ROWS_PER_WORKER = 16384
 
 #: CSV rows formatted at a time by the grid and the points writers: a
