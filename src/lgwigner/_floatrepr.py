@@ -13,10 +13,9 @@ compare Adams, "Ryu", PLDI 2018), run on whole uint64 arrays:
 - the value, scaled by ``10^-k`` (``k`` from the binary exponent), is
   rounded to odd from its 64 x 126-bit product with ``g``, done on
   32-bit limbs;
-- which of its neighbours and of the multiples of ten around it lie in
-  its rounding interval is read from float estimates where they are
-  clearly away from a tie, and elsewhere from the interval ends' own
-  products, as Java computes them;
+- so are the two ends of its rounding interval, and which of its
+  neighbours and of the multiples of ten around it lie in the interval
+  is read from them, as Java does;
 - a multiple of ten inside the interval is taken if there is one (it
   is shorter); otherwise the closer of the two neighbours of the value.
 
@@ -73,9 +72,8 @@ def _flog2pow10(e):
 def _g_tables() -> tuple[np.ndarray, ...]:
     """The 32-bit limbs (g1 high, g1 low, g0 high, g0 low) of
     ``g = floor(10^e 2^-r) + 1 = g1 2^63 + g0``, with
-    ``r = flog2pow10(e) - 125``, for e in [_E_MIN, _E_MAX]; and
-    ``g / 2^125`` rounded to float64."""
-    limbs, scaled = [], []
+    ``r = flog2pow10(e) - 125``, for e in [_E_MIN, _E_MAX]."""
+    limbs = []
     power = 10**-_E_MIN  # 10^|e|
     for e in range(_E_MIN, _E_MAX + 1):
         r = _flog2pow10(e) - 125
@@ -87,15 +85,10 @@ def _g_tables() -> tuple[np.ndarray, ...]:
             power *= 10
         g1, g0 = g >> 63, g & _M63
         limbs += (g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32)
-        scaled.append(g / 2**125)
-    return (*np.array(limbs, dtype=np.uint64).reshape(-1, 4).T.copy(), np.array(scaled))
+    return tuple(np.array(limbs, dtype=np.uint64).reshape(-1, 4).T.copy())
 
 
-*_G, _G_SCALED = _g_tables()
-
-#: Below this distance a float estimate of an interval test is not
-#: trusted (its error is below 2^-43; see _shortest)
-_UNSURE = 2.0**-32
+_G = _g_tables()
 
 
 def _rop(g, cp):
@@ -126,14 +119,6 @@ def _odd(whole, fraction):
     return whole | ((fraction + _M63) >> 63)
 
 
-def _inside(g, h, cb, asym, odd, s, sp10):
-    """Whether s, s + 1, sp10 and sp10 + 10 (in units of 10^k) lie in the
-    rounding interval, from Java's rounded-to-odd interval ends."""
-    vbl = _odd(*_rop(g, (cb - 2 + asym) << h))
-    vbr = _odd(*_rop(g, (cb + 2) << h))
-    return vbl + odd <= s << 2, ((s + 1) << 2) + odd <= vbr, vbl + odd <= sp10 << 2, ((sp10 + 10) << 2) + odd <= vbr
-
-
 def _shortest(bits):
     """(d, k): ``d 10^k`` is the shortest decimal, and of those the
     closest, that reads back as the positive finite double of each
@@ -146,32 +131,18 @@ def _shortest(bits):
     asym = (t == 0) & (bq > 1)
     k = np.where(asym, _flog10_three_quarters_pow2(q), _flog10pow2(q))
     h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    index = -k - _E_MIN
-    g = [limb.take(index) for limb in _G]
+    g = [limb.take(-k - _E_MIN) for limb in _G]
     cb = c << 2
     odd = c & 1  # an odd significand's interval excludes its ends
-    # four times the value in units of 10^k; s and s + 1 are its neighbours
-    whole, fraction = _rop(g, cb << h)
-    s = whole >> 2
+    # four times the value and its interval ends, in units of 10^k,
+    # rounded to odd; s and s + 1 are the value's neighbours
+    vb, vbl, vbr = (_odd(*_rop(g, cp << h)) for cp in (cb, cb - 2 + asym, cb + 2))
+    s = vb >> 2
     sp10 = s // 10 * 10
-    # The interval tests in floats, in units of 10^k / 4: the value less
-    # 4 s, and the half-widths 2 u (u below if asym), u = 10^-k 2^q =
-    # g 2^(h - 127). Each estimate is within 2^-43 of its exact value, so
-    # its sign is exact where it is further than _UNSURE from 0; the
-    # other elements take Java's exact tests.
-    x = (whole & 3) + fraction * 2.0**-63
-    u = np.ldexp(_G_SCALED.take(index), h.astype(np.int64) - 2)
-    low, high = x - u * (2 - asym), x + 2 * u
-    a = 4.0 * (s - sp10)
-    tests = [low, high - 4, low + a, high + a - 40]
-    unsure = np.flatnonzero(np.minimum.reduce([np.abs(test) for test in tests]) < _UNSURE)
-    uin, win, upin, wpin = tests[0] < 0, tests[1] > 0, tests[2] < 0, tests[3] > 0
-    if unsure.size:
-        exact = _inside(*([v[unsure] for v in g], *(v[unsure] for v in (h, cb, asym, odd, s, sp10))))
-        for test, value in zip((uin, win, upin, wpin), exact):
-            test[unsure] = value
-    b = whole & 3
-    nearer_s = (b < 2) | ((b == 2) & (fraction == 0) & ((s & 1) == 0))
+    uin, win = vbl + odd <= s << 2, ((s + 1) << 2) + odd <= vbr
+    upin, wpin = vbl + odd <= sp10 << 2, ((sp10 + 10) << 2) + odd <= vbr
+    b = vb & 3
+    nearer_s = (b < 2) | ((b == 2) & ((s & 1) == 0))
     d = np.where(np.where(uin != win, uin, nearer_s), s, s + 1)
     d = np.where(upin != wpin, np.where(upin, sp10, sp10 + 10), d)
     return d, k
@@ -184,7 +155,8 @@ def _word_table(rows) -> np.ndarray:
 
 def _mask_table() -> np.ndarray:
     """Row m keeps the first m bytes of a 24-byte slot row."""
-    return _word_table((np.arange(WIDTH)[None, :] < np.arange(WIDTH + 1)[:, None]) * 0xFF)
+    m64 = (1 << 64) - 1
+    return np.array([[((1 << 8 * m) - 1) >> 64 * w & m64 for w in range(3)] for m in range(WIDTH + 1)], dtype=np.uint64)
 
 
 _MASK = _mask_table()
@@ -257,7 +229,7 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
     for 0)."""
     digit = np.arange(48, 58, dtype=np.uint64)
     pair = (digit[:, None] | digit << 8).reshape(-1)
-    zeros = np.zeros(10000, dtype=np.int8)
+    zeros = np.zeros(10000, dtype=np.int64)
     for step in (10, 100, 1000, 10000):
         zeros[::step] += 1
     return (pair[:, None] | pair << 16).reshape(-1), zeros

@@ -61,7 +61,6 @@ import traceback
 
 import numpy as np
 
-from ._floatrepr import WIDTH, format_floats
 from .beam import BeamIndex, BeamParams, beam_field, beam_geometry
 from .modes import ModeIndex, hg_mode, lg_mode
 from .verify import SUITE_NAMES, run_suite
@@ -92,10 +91,7 @@ _ROWS_PER_WORKER = 16384
 #: CSV rows formatted at a time by the grid and the points writers: a
 #: span's byte matrices and text take ~0.4 kB a row, so the writers'
 #: memory stays flat however many rows there are
-_GRID_ROWS_PER_SPAN = _POINTS_PER_SPAN = 4096
-
-#: The cell of every imaginary part of a real value: +0.0
-_ZERO_CELL = np.frombuffer(b"0.0".ljust(WIDTH, b"\0"), dtype=np.uint8)
+_POINTS_PER_SPAN = 4096
 
 
 class UsageError(ValueError):
@@ -142,9 +138,12 @@ def _csv_lines(columns, values) -> str:
     or ``\n`` the byte after it; the NUL bytes are dropped once for all
     rows, so no Python code runs per row or per float.
     """
+    from ._floatrepr import WIDTH, format_floats  # its tables load with the first CSV
+
     real = not np.iscomplexobj(values)
     values = np.asarray(values, dtype=float if real else complex)
-    cells = [*columns, format_floats(values.real), _ZERO_CELL if real else format_floats(values.imag)]
+    zero = np.frombuffer(b"0.0".ljust(WIDTH, b"\0"), dtype=np.uint8)  # +0.0, every real value's imaginary part
+    cells = [*columns, format_floats(values.real), zero if real else format_floats(values.imag)]
     lines = np.empty((values.size, len(cells), WIDTH + 1), dtype=np.uint8)
     for c, cell in enumerate(cells):
         lines[:, c, :WIDTH] = cell
@@ -231,12 +230,13 @@ def _write_csv(path: str, header: str, rows: int, write_rows) -> None:
         write_rows(fh, bounds[len(children) + 1], rows)
 
 
-def _write_spans(path: str, header: str, values, span: int, columns) -> None:
-    """Write ``header`` and one CSV row per element of ``values``, ``span``
-    rows at a time; ``columns(start, stop)`` gives the coordinate cells
-    of rows [start, stop)."""
+def _write_spans(path: str, header: str, values, columns) -> None:
+    """Write ``header`` and one CSV row per element of ``values``,
+    ``_POINTS_PER_SPAN`` rows at a time; ``columns(start, stop)`` gives
+    the coordinate cells of rows [start, stop)."""
 
     def write_rows(fh, start: int, stop: int) -> None:
+        span = _POINTS_PER_SPAN
         for first in range(start, stop, span):
             last = min(stop, first + span)
             fh.write(_csv_lines(columns(first, last), values[first:last]))
@@ -246,23 +246,27 @@ def _write_spans(path: str, header: str, values, span: int, columns) -> None:
 
 def _write_grid_csv(path: str, xs, ys, values) -> None:
     """Rows run x outer, y inner; each axis is formatted once."""
+    from ._floatrepr import format_floats
+
     xs, ys = format_floats(xs), format_floats(ys)
 
     def columns(start: int, stop: int) -> list:
         i, j = np.divmod(np.arange(start, stop), len(ys))
         return [xs.take(i, axis=0), ys.take(j, axis=0)]
 
-    _write_spans(path, "x,y,re,im\n", np.asarray(values).reshape(-1), _GRID_ROWS_PER_SPAN, columns)
+    _write_spans(path, "x,y,re,im\n", np.asarray(values).reshape(-1), columns)
 
 
 def _write_points_csv(path: str, points, values) -> None:
     """Rows follow ``points``."""
+    from ._floatrepr import format_floats
+
     points = np.asarray(points, dtype=float)
 
     def columns(start: int, stop: int) -> list:
-        return list(format_floats(points[start:stop]).reshape(stop - start, 4, WIDTH).transpose(1, 0, 2))
+        return list(format_floats(points[start:stop]).reshape(stop - start, 4, -1).transpose(1, 0, 2))
 
-    _write_spans(path, _POINTS_HEADER + ",re,im\n", np.asarray(values), _POINTS_PER_SPAN, columns)
+    _write_spans(path, _POINTS_HEADER + ",re,im\n", np.asarray(values), columns)
 
 
 def _write_pgm(path: str, values) -> None:

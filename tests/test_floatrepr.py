@@ -88,28 +88,12 @@ def test_fixed_and_exponent_notation_switch_where_repr_switches(value, text):
         _assert_reprs([v])
 
 
-def test_interval_tests_that_floats_cannot_settle_take_the_exact_route(monkeypatch):
-    # [2^53, 2^54) holds the even integers, and each one's upper interval
-    # end is exactly the next integer: a tie a float estimate cannot settle
+def test_values_whose_interval_ends_are_ties_format_as_repr():
+    # [2^53, 2^54) holds the even integers, and each one's interval ends
+    # are exactly the odd integers beside it: an even significand takes
+    # them, so 2^53 + 2 must not shorten to the decimal 2^53 + 1 rounds to
     ties = np.arange(2.0**53, 2.0**53 + 400, 2.0)
-    rng = np.random.default_rng(7)
-    randoms = rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64, endpoint=True).view(np.float64)
-    values = np.concatenate([ties, randoms, np.ldexp(1.0, np.arange(-1074, 1024))])
-    expected = [repr(v) for v in values.tolist()]
-
-    def text():
-        return [row[row != 0].tobytes().decode() for row in fr.format_floats(values)]
-
-    # every test exact: the exact route alone writes repr
-    monkeypatch.setattr(fr, "_UNSURE", np.inf)
-    assert text() == expected
-    # no test exact: float signs alone get the ties wrong, so the default
-    # margin is what sends them to the exact route
-    monkeypatch.setattr(fr, "_UNSURE", 0.0)
-    wrong = [i for i, (got, want) in enumerate(zip(text(), expected)) if got != want]
-    assert wrong and all(values[i].is_integer() for i in wrong)
-    monkeypatch.undo()
-    assert text() == expected
+    _assert_reprs(np.concatenate([ties, -ties, ties * 2.0**-60, ties * 2.0**900]))
 
 
 def test_any_shape_is_read_in_c_order():
