@@ -148,18 +148,15 @@ def _shortest(bits):
     return d, k
 
 
-def _word_table(rows) -> np.ndarray:
-    """Rows of 24 bytes as (n, 3) little-endian uint64 words."""
-    return np.ascontiguousarray(rows, dtype=np.uint8).view("<u8").astype(np.uint64)
+def _words(row: int) -> list[int]:
+    """A 24-byte row, given as an int with byte 0 lowest, as its three
+    little-endian uint64 words."""
+    return [row >> 64 * w & (1 << 64) - 1 for w in range(3)]
 
 
-def _mask_table() -> np.ndarray:
-    """Row m keeps the first m bytes of a 24-byte slot row."""
-    m64 = (1 << 64) - 1
-    return np.array([[((1 << 8 * m) - 1) >> 64 * w & m64 for w in range(3)] for m in range(WIDTH + 1)], dtype=np.uint64)
-
-
-_MASK = _mask_table()
+def _head(m: int) -> int:
+    """The row that keeps the first m bytes of a row."""
+    return (1 << 8 * m) - 1
 
 
 def _pattern_table() -> np.ndarray:
@@ -174,21 +171,19 @@ def _pattern_table() -> np.ndarray:
     notation, the point after the first digit, and none for one digit.
     A fixed form shows every digit before its point and at least one after.
     """
-    decpt = np.append(np.arange(-3, 17), 1)[:, None]
-    n = np.arange(18)[None, :]
-    lead = np.where(decpt > 0, decpt, 0)  # digits before the point
-    moved = np.where(decpt > 0, 1, 2 - decpt)  # bytes inserted after them
-    length = np.where(decpt > 0, np.maximum(n, decpt + 1) + 1, n + moved)
-    length[_EXPONENT_FORM] = n + (n > 1)
-    insert = np.zeros((decpt.size, WIDTH), dtype=np.uint8)
-    for f, (a, b) in enumerate(zip(lead[:, 0], moved[:, 0])):
-        text = b"." if a else b"0." + b"0" * (b - 2)
-        insert[f, 1 + a:1 + a + b] = np.frombuffer(text, dtype=np.uint8)
-    cut = _MASK[1 + length]  # (form, n, word)
-    keep = np.broadcast_to(_MASK[1 + lead], cut.shape)
-    shift = np.broadcast_to((8 * moved).astype(np.uint64)[..., None], (*cut.shape[:2], 1))
-    words = np.concatenate([keep, _word_table(insert)[:, None] & cut, cut, shift], axis=2)
-    return words.reshape(-1, 10).T.copy()
+    columns = []
+    for form, decpt in enumerate([*range(-3, 17), 1]):
+        lead = max(decpt, 0)  # digits before the point
+        text = b"." if decpt > 0 else b"0." + b"0" * -decpt  # inserted after them
+        insert = int.from_bytes(text, "little") << 8 * (1 + lead)
+        for n in range(18):
+            if form == _EXPONENT_FORM:
+                length = n + (n > 1)
+            else:
+                length = max(n, decpt + 1) + 1 if decpt > 0 else n + len(text)
+            cut = _head(1 + length)
+            columns.append([*_words(_head(1 + lead)), *_words(insert & cut), *_words(cut), 8 * len(text)])
+    return np.array(columns, dtype=np.uint64).T.copy()
 
 
 _EXPONENT_FORM = 20
@@ -204,20 +199,12 @@ def _decpt_tables() -> tuple[np.ndarray, np.ndarray]:
     """Per decimal-point position, from ``_DECPT_MIN``: the first pattern
     column of its form (see :func:`_pattern_table`), and the word 2 of
     its exponent 'e±XX' (bytes 19-23 of a row; 0 in fixed notation)."""
-    decpt = np.arange(_DECPT_MIN, _DECPT_MAX + 1)
-    fixed = (decpt > -4) & (decpt <= 16)
-    e = decpt - 1
-    a = np.abs(e)
-    wide = a >= 100
-    chars = [
-        np.full(e.size, ord("e")),
-        np.where(e < 0, ord("-"), ord("+")),
-        np.where(wide, 48 + a // 100, 48 + a // 10),
-        np.where(wide, 48 + a // 10 % 10, 48 + a % 10),
-        np.where(wide, 48 + a % 10, 0),
-    ]
-    words = sum(ch.astype(np.uint64) << (24 + 8 * i) for i, ch in enumerate(chars))
-    return 18 * np.where(fixed, decpt + 3, _EXPONENT_FORM), np.where(fixed, 0, words).astype(np.uint64)
+    columns, exponents = [], []
+    for decpt in range(_DECPT_MIN, _DECPT_MAX + 1):
+        fixed = -4 < decpt <= 16
+        columns.append(18 * (decpt + 3 if fixed else _EXPONENT_FORM))
+        exponents.append(0 if fixed else int.from_bytes(b"e%+03d" % (decpt - 1), "little") << 24)
+    return np.array(columns), np.array(exponents, dtype=np.uint64)
 
 
 _FORM_COLUMN, _EXPONENT = _decpt_tables()
@@ -248,7 +235,7 @@ def _octet(u):
 
 
 #: The slot rows of ``inf`` (signed like any number) and ``nan``
-_INF, _NAN = _word_table([[0, *b"inf"] + [0] * 20, [0, *b"nan"] + [0] * 20])
+_INF, _NAN = (np.array(_words(int.from_bytes(text, "little") << 8), dtype=np.uint64) for text in (b"inf", b"nan"))
 
 
 def format_floats(values) -> np.ndarray:
