@@ -27,7 +27,7 @@ changes nothing else.
 
 Every CSV float is written as the bytes of its ``repr``, the shortest
 decimal that round-trips. :func:`lgwigner._floatrepr.format_floats`
-computes them for whole arrays, 4,096 rows at a time, at ~0.17-0.20 µs a
+computes them for whole arrays, 4,096 rows at a time, at ~0.18-0.20 µs a
 value against ~0.7 µs for ``repr`` (2 shared cores); each file's axis
 coordinates are formatted once. Formatting still dominates a large
 file, so rows are formatted by up to one process per usable CPU (the
