@@ -25,10 +25,12 @@ leaves out Java's small-subnormal scaling and its ``s >= 100`` test.
 The layout is ``repr``'s: fixed notation when the decimal point falls
 within (-4, 16] places of the first digit, otherwise ``d.ddde±XX``;
 ``-0.0``, ``inf``, ``-inf``, and ``nan`` for every NaN. Each element
-becomes one row of 24 bytes, a sign slot, the digits with their point
+becomes one cell of 24 bytes, a sign slot, the digits with their point
 and zeros, and an exponent slot, with NUL bytes in whatever slots it does
 not fill. The slots are three little-endian uint64 words, so that the
 point is placed by one form table and whole-word shifts.
+:func:`csv_rows` lays such cells out as CSV rows and drops the NUL
+bytes once for all of them; no other module knows the cell's layout.
 """
 
 from __future__ import annotations
@@ -276,3 +278,22 @@ def format_floats(values) -> np.ndarray:
     out[nan] = _NAN
     out[:, 0] |= np.where(nan, 0, (bits >> 63) * ord("-"))
     return out.view(np.uint8)
+
+
+#: The cell of +0.0, the imaginary part of every real value
+ZERO = format_floats(0.0)
+
+
+def csv_rows(cells) -> bytes:
+    """The ASCII CSV rows whose cells, in order, are the rows of the
+    :func:`format_floats` matrices ``cells``; a one-row matrix fills every
+    row. Each cell takes a slot of ``WIDTH`` bytes and its ``,`` or
+    ``\n`` the byte after it, and the NUL bytes are dropped once for all
+    rows, so no Python code runs per row or per float."""
+    rows = np.broadcast_shapes(*(cell.shape for cell in cells))[0]
+    lines = np.empty((rows, len(cells), WIDTH + 1), dtype=np.uint8)
+    for c, cell in enumerate(cells):
+        lines[:, c, :WIDTH] = cell
+    lines[:, :, WIDTH] = ord(",")
+    lines[:, -1, WIDTH] = ord("\n")
+    return lines.tobytes().translate(None, b"\0")

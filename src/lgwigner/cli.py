@@ -21,28 +21,13 @@ finite (see :class:`lgwigner.beam.BeamParams` and
 All configuration is via flags; the tool reads no environment variables
 or config files, so identical invocations produce identical outputs.
 (The standard library's ``tempfile`` takes the directory for the forked
-writers' chunks, below, from ``TMPDIR``; that moves no output byte.)
-``--timings`` adds an evaluate and format+write breakdown on stderr and
-changes nothing else.
+writers' chunks, see :func:`_write_csv`, from ``TMPDIR``; that moves no
+output byte.) ``--timings`` adds an evaluate and format+write breakdown
+on stderr and changes nothing else.
 
 Every CSV float is written as the bytes of its ``repr``, the shortest
-decimal that round-trips. :func:`lgwigner._floatrepr.format_floats`
-computes them for whole arrays, 4,096 rows at a time, at ~0.18-0.20 µs a
-value against ~0.7 µs for ``repr`` (2 shared cores); each file's axis
-coordinates are formatted once. Formatting still dominates a large
-file, so rows are formatted by up to one process per usable CPU (the
-CPU affinity, or the CPU count where that is missing), at most one per
-16,384 rows, so small files stay in one process. The parent formats
-the first contiguous chunk of rows into the output file; each other
-chunk is formatted by an ``os.fork``ed child into an unlinked temporary
-file, which the parent appends in order. Where a chunk's temporary file
-or its fork fails (under a process limit, say), no further child is
-started and the parent formats the rows left itself. The bytes are the
-same whatever the CPU count, and whether or not a fork failed. A child
-only formats floats and writes, and makes no BLAS call; it ends with
-``os._exit``, so it neither flushes the parent's buffered output nor
-runs exit handlers. From Python 3.12, forking a process that has BLAS
-threads emits a ``DeprecationWarning``.
+decimal that round-trips. A CSV file's bytes are the same whatever the
+CPU count, and whether or not a forked writer could be started.
 """
 
 from __future__ import annotations
@@ -89,7 +74,7 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 _ROWS_PER_WORKER = 16384
 
 #: CSV rows formatted at a time by the grid and the points writers: a
-#: span's byte matrices and text take ~0.4 kB a row, so the writers'
+#: span's byte matrices and rows take ~0.4 kB a row, so the writers'
 #: memory stays flat however many rows there are
 _POINTS_PER_SPAN = 4096
 
@@ -126,30 +111,20 @@ def _grid_axes(args) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(args.xmin, args.xmax, args.nx), np.linspace(args.ymin, args.ymax, args.ny)
 
 
-def _csv_lines(columns, values) -> str:
+def _csv_lines(columns, values) -> bytes:
     """CSV lines: one row per element of ``values``, its cells those of
-    ``columns`` (coordinates already formatted by :func:`format_floats`,
-    one (rows, 24) byte matrix each) followed by ``re,im``.
+    ``columns`` (coordinates already formatted by :func:`format_floats`)
+    followed by ``re,im``.
 
     Every float is written as its ``repr``: the shortest decimal that
     round-trips. Real ``values`` write every imaginary part as ``0.0``,
     the +0.0 that casting a real value to complex gives, NaN included.
-    Each cell fills a fixed slot of 24 bytes, NUL-padded, and its ``,``
-    or ``\n`` the byte after it; the NUL bytes are dropped once for all
-    rows, so no Python code runs per row or per float.
     """
-    from ._floatrepr import WIDTH, format_floats  # its tables load with the first CSV
+    from ._floatrepr import ZERO, csv_rows, format_floats  # its tables load with the first CSV
 
     real = not np.iscomplexobj(values)
     values = np.asarray(values, dtype=float if real else complex)
-    zero = np.frombuffer(b"0.0".ljust(WIDTH, b"\0"), dtype=np.uint8)  # +0.0, every real value's imaginary part
-    cells = [*columns, format_floats(values.real), zero if real else format_floats(values.imag)]
-    lines = np.empty((values.size, len(cells), WIDTH + 1), dtype=np.uint8)
-    for c, cell in enumerate(cells):
-        lines[:, c, :WIDTH] = cell
-    lines[:, :, WIDTH] = ord(",")
-    lines[:, -1, WIDTH] = ord("\n")
-    return lines.tobytes().translate(None, b"\0").decode("ascii")
+    return csv_rows([*columns, format_floats(values.real), ZERO if real else format_floats(values.imag)])
 
 
 def _usable_cpus() -> int:
@@ -166,15 +141,15 @@ def _worker_count(rows: int) -> int:
     return max(1, min(_usable_cpus(), rows // _ROWS_PER_WORKER))
 
 
-def _format_in_child(out, encoding: str, write_rows, start: int, stop: int) -> None:
-    """In a forked child: write rows [start, stop) to the file ``out`` and
-    end the process with exit code 0, or with ``EXIT_IO`` (an OSError) or
-    ``EXIT_INTERNAL`` (anything else) and the error's one-line summary
-    in place of the rows. Never returns."""
+def _format_in_child(out, write_rows, start: int, stop: int) -> None:
+    """In a forked child: write rows [start, stop) to the binary file
+    ``out`` and end the process with exit code 0, or with ``EXIT_IO`` (an
+    OSError) or ``EXIT_INTERNAL`` (anything else) and the error's one-line
+    summary in place of the rows. Never returns."""
     code = EXIT_INTERNAL
     try:
-        with open(out.fileno(), "w", encoding=encoding, newline="", closefd=False) as fh:
-            write_rows(fh, start, stop)
+        write_rows(out, start, stop)
+        out.flush()  # os._exit flushes nothing
         code = EXIT_OK
     except BaseException as exc:  # reported through the exit code: a child never returns
         code = EXIT_IO if isinstance(exc, OSError) else EXIT_INTERNAL
@@ -184,24 +159,38 @@ def _format_in_child(out, encoding: str, write_rows, start: int, stop: int) -> N
         os._exit(code)
 
 
-def _write_csv(path: str, header: str, rows: int, write_rows) -> None:
-    """Write ``header`` and then rows [0, rows) to ``path``;
-    ``write_rows(fh, start, stop)`` writes rows [start, stop) to the text
-    file ``fh``.
+def _write_csv(path: str, header: bytes, values, columns) -> None:
+    """Write ``header`` and one CSV row per element of ``values`` to
+    ``path``, ``_POINTS_PER_SPAN`` rows at a time; ``columns(start, stop)``
+    gives the coordinate cells of rows [start, stop).
 
-    The rows are split into ``_worker_count(rows)`` contiguous chunks. The
+    Formatting dominates a large file, so the rows are split into
+    ``_worker_count(rows)`` contiguous chunks: one per usable CPU (the CPU
+    affinity, or the CPU count where that is missing), at most one per
+    ``_ROWS_PER_WORKER`` rows, so small files stay in one process. The
     parent writes chunk 0 straight into ``path``; each other chunk is
-    written by a forked child into a temporary file and appended in order
-    after every child has been reaped. When a chunk's temporary file or
-    its fork fails with an OSError, no further child is started, and the
-    parent writes the rows from that chunk on after the children's
-    chunks: the bytes are the same. A child's failure is raised here
-    as an OSError (exit 3) when the child's error was one, and as a
-    RuntimeError (exit 4) otherwise.
+    written by an ``os.fork``ed child into an unlinked temporary file and
+    appended in order after every child has been reaped. When a chunk's
+    temporary file or its fork fails with an OSError (under a process
+    limit, say), no further child is started, and the parent writes the
+    rows from that chunk on after the children's chunks: the bytes are
+    the same. A child only formats floats and writes, and makes no BLAS
+    call; it ends with ``os._exit``, so it neither flushes the parent's
+    buffered output nor runs exit handlers. From Python 3.12, forking a
+    process that has BLAS threads emits a ``DeprecationWarning``. A
+    child's failure is raised here as an OSError (exit 3) when the
+    child's error was one, and as a RuntimeError (exit 4) otherwise.
     """
+
+    def write_rows(out, start: int, stop: int) -> None:
+        for first in range(start, stop, _POINTS_PER_SPAN):
+            last = min(stop, first + _POINTS_PER_SPAN)
+            out.write(_csv_lines(columns(first, last), values[first:last]))
+
+    rows = len(values)
     workers = _worker_count(rows)
     bounds = [rows * w // workers for w in range(workers + 1)]
-    with open(path, "w", newline="") as fh, contextlib.ExitStack() as temps:
+    with open(path, "wb") as fh, contextlib.ExitStack() as temps:
         fh.write(header)
         children = []
         try:
@@ -212,7 +201,7 @@ def _write_csv(path: str, header: str, rows: int, write_rows) -> None:
                 except OSError:  # the children only save time: the parent writes the rest
                     break
                 if pid == 0:
-                    _format_in_child(out, fh.encoding, write_rows, start, stop)
+                    _format_in_child(out, write_rows, start, stop)
                 children.append((pid, out, start, stop))
             write_rows(fh, 0, bounds[1])
         finally:
@@ -223,25 +212,10 @@ def _write_csv(path: str, header: str, rows: int, write_rows) -> None:
                 reason = out.read(4096).decode(errors="replace") if code in (EXIT_IO, EXIT_INTERNAL) else ""
                 message = f"formatting CSV rows {start}-{stop - 1} failed (exit status {code}): {reason}"
                 raise (OSError if code == EXIT_IO else RuntimeError)(message)
-        fh.flush()
         for _, out, *_ in children:
             out.seek(0)
-            shutil.copyfileobj(out, fh.buffer, 1 << 20)
+            shutil.copyfileobj(out, fh, 1 << 20)
         write_rows(fh, bounds[len(children) + 1], rows)
-
-
-def _write_spans(path: str, header: str, values, columns) -> None:
-    """Write ``header`` and one CSV row per element of ``values``,
-    ``_POINTS_PER_SPAN`` rows at a time; ``columns(start, stop)`` gives
-    the coordinate cells of rows [start, stop)."""
-
-    def write_rows(fh, start: int, stop: int) -> None:
-        span = _POINTS_PER_SPAN
-        for first in range(start, stop, span):
-            last = min(stop, first + span)
-            fh.write(_csv_lines(columns(first, last), values[first:last]))
-
-    _write_csv(path, header, len(values), write_rows)
 
 
 def _write_grid_csv(path: str, xs, ys, values) -> None:
@@ -254,7 +228,7 @@ def _write_grid_csv(path: str, xs, ys, values) -> None:
         i, j = np.divmod(np.arange(start, stop), len(ys))
         return [xs.take(i, axis=0), ys.take(j, axis=0)]
 
-    _write_spans(path, "x,y,re,im\n", np.asarray(values).reshape(-1), columns)
+    _write_csv(path, b"x,y,re,im\n", np.asarray(values).reshape(-1), columns)
 
 
 def _write_points_csv(path: str, points, values) -> None:
@@ -266,7 +240,7 @@ def _write_points_csv(path: str, points, values) -> None:
     def columns(start: int, stop: int) -> list:
         return list(format_floats(points[start:stop]).reshape(stop - start, 4, -1).transpose(1, 0, 2))
 
-    _write_spans(path, _POINTS_HEADER + ",re,im\n", np.asarray(values), columns)
+    _write_csv(path, f"{_POINTS_HEADER},re,im\n".encode(), np.asarray(values), columns)
 
 
 def _write_pgm(path: str, values) -> None:
@@ -285,9 +259,11 @@ def _write_pgm(path: str, values) -> None:
         fh.write(img.tobytes())
 
 
-def _read_points_file(path: str) -> list[tuple[float, float, float, float]]:
-    """The points of a UTF-8 points file; a leading byte-order mark is
-    dropped, and LF or CRLF may end a line."""
+def _read_points_file(path: str) -> np.ndarray:
+    """The (n, 4) float array of the points of a UTF-8 points file, one
+    line ``x1,x2,xi1,xi2`` each, every value finite and within the
+    coordinate limit; a leading byte-order mark is dropped, and LF or
+    CRLF may end a line."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -298,26 +274,16 @@ def _read_points_file(path: str) -> list[tuple[float, float, float, float]]:
         line = raw.strip()
         if not line or (lineno == 1 and line == _POINTS_HEADER):
             continue
-        point = _parse_point(line)
-        if point is None:
+        try:
+            point = list(map(float, line.split(",")))
+        except ValueError:
+            point = []
+        if len(point) != 4 or not all(abs(v) <= _COORD_LIMIT for v in point):
             raise UsageError(f"points file line {lineno}: expected {_POINTS_HEADER!r}, got {line!r}")
         points.append(point)
     if not points:
         raise UsageError("points file contains no points")
-    return points
-
-
-def _parse_point(line: str) -> tuple[float, float, float, float] | None:
-    """The four floats of a points-file line, each finite and within the
-    coordinate limit, or None."""
-    parts = line.split(",")
-    if len(parts) != 4:
-        return None
-    try:
-        point = tuple(map(float, parts))
-    except ValueError:
-        return None
-    return point if all(abs(v) <= _COORD_LIMIT for v in point) else None
+    return np.array(points)
 
 
 def _evaluate_and_write(args, label: str, evaluate, write) -> int:
@@ -370,7 +336,7 @@ def cmd_wigner_points(args) -> int:
     index = ModeIndex.lg if lg else ModeIndex.hg
     _validated(index, j, k)
     _validated(index, m, n)
-    points = np.array(_read_points_file(args.points))
+    points = _read_points_file(args.points)
     evaluate = functools.partial(wigner_lg_closed if lg else wigner_hg_closed, j, k, m, n, PhasePoint4(*points.T))
     write = functools.partial(_write_points_csv, args.out, points)
     return _evaluate_and_write(args, f"wigner {args.kind} ({j},{k},{m},{n})", evaluate, write)

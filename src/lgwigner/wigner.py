@@ -453,7 +453,8 @@ def extended_wigner_rotfft(grid: Grid2D) -> Grid2D:
     Sized by the mode degree d = j + k instead, HG(j, k) is accurate to
     below 5e-14 up to order 64 on the product-rule grid (checked at
     orders 0, 1, 16, 32 and 64: (0, 0), (1, 0), (8, 8), (16, 16),
-    (32, 32), (40, 24), (64, 0) and (0, 64)). The window is [-T, T] with
+    (32, 32), (40, 24), (64, 0) and (0, 64); the largest, 4.45e-14, at
+    (32, 32)). The window is [-T, T] with
     T = ``QuadratureSpec.for_degree(d).half_width``, past which the
     samples stay below 1e-16, on
     ``QuadratureSpec.for_degree(d, reach=T).nodes`` nodes per axis, a

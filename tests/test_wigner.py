@@ -378,7 +378,7 @@ def _sized_axis(degree):
     "j, k, x_axis, y_axis, bound",
     [
         # the product-rule grid of degree j + k (measured 1.1e-14 at
-        # (16, 16), 114 x 114; <= 3.8e-14 at order 64, 168 x 168)
+        # (16, 16), 114 x 114; at most 4.45e-14, at (32, 32), 168 x 168)
         (16, 16, _sized_axis(32), _sized_axis(32), 1e-12),
         (40, 24, _sized_axis(64), _sized_axis(64), 1e-12),
         (0, 64, _sized_axis(64), _sized_axis(64), 1e-12),
@@ -393,6 +393,12 @@ def _sized_axis(degree):
         # unequal windows too: the narrower y window truncates HG(3, 2)
         # (measured 2.9e-9)
         (3, 2, (-10.0, 10.0, 301), (-7.0, 7.0, 200), 1e-8),
+        # the product-rule grid at the docstring's other listed inputs
+        (0, 0, _sized_axis(0), _sized_axis(0), 1e-12),
+        (1, 0, _sized_axis(1), _sized_axis(1), 1e-12),
+        (8, 8, _sized_axis(16), _sized_axis(16), 1e-12),
+        (32, 32, _sized_axis(64), _sized_axis(64), 1e-12),
+        (64, 0, _sized_axis(64), _sized_axis(64), 1e-12),
     ],
 )
 def test_rotfft_matches_lg_mode(j, k, x_axis, y_axis, bound):

@@ -8,9 +8,11 @@ Run from anywhere::
 Draws ``--count`` uniformly random 64-bit patterns from numpy's default
 generator seeded with ``--seed``, so NaNs, infinities, subnormals and
 both zeros come up at their share of the patterns. Each is written by
-``lgwigner._floatrepr.format_floats`` and by ``repr``; the first
-mismatches are printed as bits, ``repr`` and the formatter's text. The
-last line counts the mismatches. Exit status 1 if there is any, else 0.
+``repr`` and, as a one-cell CSV row, by ``lgwigner._floatrepr``'s
+``format_floats`` and ``csv_rows``, the bytes the CLI's writers emit;
+the first mismatches are printed as bits, ``repr`` and the formatter's
+text. The last line counts the mismatches. Exit status 1 if there is
+any, else 0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lgwigner._floatrepr import WIDTH, format_floats  # noqa: E402
+from lgwigner._floatrepr import csv_rows, format_floats  # noqa: E402
 
 CHUNK = 1 << 16  # patterns formatted at a time
 SHOWN = 10  # mismatches printed
@@ -33,10 +35,7 @@ SHOWN = 10  # mismatches printed
 def mismatches(values: np.ndarray) -> list[tuple[int, str, str]]:
     """(index, ``repr``, formatter) for every element of the float64 array
     ``values`` where the two differ."""
-    rows = np.empty((values.size, WIDTH + 1), dtype=np.uint8)
-    rows[:, :WIDTH] = format_floats(values)
-    rows[:, WIDTH] = ord("\n")
-    got = rows.tobytes().translate(None, b"\0").decode("ascii", "replace").split("\n")[:-1]
+    got = csv_rows([format_floats(values)]).decode("ascii", "replace").split("\n")[:-1]
     expected = map(repr, values.tolist())
     return [(i, e, g) for i, (e, g) in enumerate(itertools.zip_longest(expected, got)) if e != g]
 

@@ -49,8 +49,7 @@ def body_lines(path: Path) -> dict[int, str]:
     while stack:
         code, owner = stack.pop()
         is_class = (code.co_name, code.co_firstlineno) in classes
-        qualname = getattr(code, "co_qualname", code.co_name)
-        name = owner or (None if is_class else qualname)
+        name = owner or (None if is_class else code.co_qualname)
         stack.extend((const, name) for const in code.co_consts if isinstance(const, types.CodeType))
         if not is_class:
             lines.update((line, name) for _, _, line in code.co_lines() if line is not None)
