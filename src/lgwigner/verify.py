@@ -44,6 +44,9 @@ from . import beam as _beam
 from .modes import (
     LadderOp,
     ModeIndex,
+    _BasisField,
+    _hg_modes,
+    _hg_partial,
     _ladder_action,
     apply_operator_pointwise,
     hg_mode,
@@ -51,7 +54,7 @@ from .modes import (
     lg_field,
     lg_mode,
 )
-from .specfun import MAX_DEGREE, _check_int, hermite_function_derivative, hermite_function_table
+from .specfun import MAX_DEGREE, _check_int, hermite_function_table
 from .wigner import (
     Grid2D,
     PhasePoint4,
@@ -210,15 +213,9 @@ def _h_stack(degrees):
     return lambda t: hermite_function_table(top, t)[degrees]
 
 
-def _dh_stack(degrees):
-    """As :func:`_h_stack`, for the derivatives ``h_d'(t)``: one recurrence
-    pass per evaluation serves every degree."""
-    degrees = np.asarray(degrees)
-    return lambda t: hermite_function_derivative(degrees.reshape(degrees.shape + (1,) * np.ndim(t)), t)
-
-
 def _hg_stack(j, k):
-    """Field ``F(u, v)[...] = h_j(u) h_k(v)`` for broadcasting index arrays."""
+    """Field ``F(u, v)[...] = h_j(u) h_k(v)`` for broadcasting index arrays.
+    It picks rows of one Hermite table, which costs less than ``_hg_modes``."""
     fj, fk = _h_stack(j), _h_stack(k)
     return lambda u, v: fj(u) * fk(v)
 
@@ -386,21 +383,21 @@ def _transformed_hg(cap: int, ys):
 
     With the compressed arguments u, v = (x +- p)/sqrt2, d/dx moves both
     by 1/sqrt2 and d/dy brings down i p = i (u - v)/sqrt2. Both partial
-    integrands are Hermite expansions of degree 2 cap + 1.
+    integrands are Hermite expansions of degree 2 cap + 1. The integrands
+    come from the ladder layer's HG basis field, so its partials kernel is
+    the one under the integral.
     """
-    j, k = _all_pairs(cap)
-    hj, hk, dj, dk = _h_stack(j), _h_stack(k), _dh_stack(j), _dh_stack(k)
+    # the quanta stack ahead of the 2-D integrand points
+    F = _BasisField(*_all_pairs(cap, 2), _hg_modes, _hg_partial)
     quad, dquad = _sized(2 * cap, ys), _sized(2 * cap + 1, ys)
 
     def field(x, y):
-        return extended_wigner(lambda u, v: hj(u) * hk(v), x, y, quad)
+        return extended_wigner(F, x, y, quad)
 
     field.partial_x = lambda x, y: extended_wigner(
-        lambda u, v: (dj(u) * hk(v) + hj(u) * dk(v)) / SQRT2, x, y, dquad
+        lambda u, v: (F.partial_x(u, v) + F.partial_y(u, v)) / SQRT2, x, y, dquad
     )
-    field.partial_y = lambda x, y: extended_wigner(
-        lambda u, v: 1j * (u - v) / SQRT2 * hj(u) * hk(v), x, y, dquad
-    )
+    field.partial_y = lambda x, y: extended_wigner(lambda u, v: 1j * (u - v) / SQRT2 * F(u, v), x, y, dquad)
     return field
 
 

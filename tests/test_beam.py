@@ -95,6 +95,32 @@ def test_transverse_norm_unit_at_heights():
             assert total == pytest.approx(1.0, abs=1e-8)
 
 
+def test_paraxial_propagation_pins_gouy_and_curvature_for_nonnegative_ell():
+    # modes of different order N = 2p + |ell| pick up different Gouy
+    # phases (N + 1) gouy, so their superposition propagated by the
+    # paraxial kernel exposes the Gouy sign, the curvature sign and the
+    # width law. One unit global phase is divided out, so the carrier is
+    # not tested; nor is ell < 0, whose Gouy term is still signed ell.
+    params = BeamParams(w0=1.0, k=10.0)
+    n, half = 256, 8.0
+    axis = np.linspace(-half, half, n, endpoint=False)
+    x, y = axis[:, None], axis[None, :]
+    r, phi = np.hypot(x, y), np.arctan2(y, x)
+    cases = [BeamIndex(0, 0), BeamIndex(1, 0), BeamIndex(0, 2), BeamIndex(1, 1)]
+
+    def field(z):
+        return sum(beam_field(index, params, r, phi, z) for index in cases)
+
+    freq = 2.0 * np.pi * np.fft.fftfreq(n, axis[1] - axis[0])
+    kx, ky = freq[:, None], freq[None, :]
+    spectrum = np.fft.fft2(field(0.0))
+    for z in (0.5 * params.zR, params.zR):
+        propagated = np.fft.ifft2(spectrum * np.exp(1j * (kx**2 + ky**2) * z / (2.0 * params.k)))
+        want = field(z)
+        overlap = np.vdot(propagated, want)
+        assert np.abs(want - overlap / abs(overlap) * propagated).max() <= 1e-10
+
+
 def test_helical_phase():
     idx = BeamIndex(1, 3)
     z = 0.7 * PARAMS.zR

@@ -42,7 +42,7 @@ class Mutant(NamedTuple):
 
 CATALOGUE = {
     # the ladder relation h_n' = sqrt(n/2) h_{n-1} - sqrt((n+1)/2) h_{n+1}
-    # feeds every intertwining check through the derivative stack
+    # feeds every intertwining check through the HG partials kernel
     "derivative_ladder_sign": Mutant(
         "specfun.py",
         "table[n - 1, columns] - rise",

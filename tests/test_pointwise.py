@@ -53,7 +53,7 @@ CASES = {
         )
         for index in [(2, -3), (1, 2)]
     },
-    **{f"{op.value}-analytic": _op_case(op) for op in LadderOp},
+    **{op.value: _op_case(op) for op in LadderOp},
     **{
         f"{basis}_field.{partial}": (2, kind, lambda x, y, fld=fld, partial=partial: getattr(fld, partial)(x, y))
         for basis, kind, fld in [

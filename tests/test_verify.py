@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lgwigner.beam import BeamIndex, BeamParams, beam_field, beam_geometry
-from lgwigner import verify, wigner
+from lgwigner import modes, verify, wigner
 from lgwigner.modes import ModeIndex, lg_mode
 from lgwigner.specfun import hermite_function, hermite_function_derivative, hermite_function_table
 from lgwigner.verify import (
@@ -196,10 +196,11 @@ def test_json_round_trip():
 
 
 def test_intertwine_checks_fail_on_a_sign_flipped_hermite_derivative(monkeypatch):
-    # the partials under the integral are built from h_n', so a wrong sign
-    # there must show against the index-space ladder action
-    derivative = verify.hermite_function_derivative
-    monkeypatch.setattr(verify, "hermite_function_derivative", lambda n, x: -derivative(n, x))
+    # the partials under the integral come from the HG partials kernel,
+    # which reads h_n' through modes, so a wrong sign there must show
+    # against the index-space ladder action
+    derivative = modes.hermite_function_derivative
+    monkeypatch.setattr(modes, "hermite_function_derivative", lambda n, x: -derivative(n, x))
     report = run_suite("intertwine", seed=7)
     assert [c.name for c in report.checks] == list(MANIFEST["intertwine"])
     assert not any(c.passed for c in report.checks)

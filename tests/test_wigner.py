@@ -61,6 +61,10 @@ def test_quadrature_spec_validation():
     p, w = QuadratureSpec(5.0, 100).grid()
     assert p[0] == -5.0 and p[-1] == 5.0
     assert np.sum(w) == pytest.approx(10.0, rel=1e-14)
+    # the trapezoid rule halves both end weights and no interior one
+    step = p[1] - p[0]
+    assert w[0] == w[-1] == step / 2
+    assert np.all(w[1:-1] == step)
 
 
 _REACHES = (0.0, 1e-5, 2.0, 4.0, 8.0, 12.0, 40.0)
