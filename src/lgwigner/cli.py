@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Subcommands: ``modes`` and ``beam`` evaluate fields on rectangular grids
-and write CSV (optionally a grayscale magnitude image for modes),
-``wigner`` evaluates closed forms on grids, slices, or point lists, and
-``verify`` runs the identity suites with exit-code semantics. Each
-``wigner`` kind is a subcommand of its own that takes only the flags it
-uses; ``lgwigner wigner KIND -h`` lists them.
+and write CSV (optionally a grayscale magnitude image for modes, at a
+path other than the CSV's), ``wigner`` evaluates closed forms on grids,
+slices, or point lists, and ``verify`` runs the identity suites with
+exit-code semantics. Each ``wigner`` kind is a subcommand of its own
+that takes only the flags it uses; ``lgwigner wigner KIND -h`` lists
+them.
 
 Exit codes: 0 success (verification passed), 1 verification failure,
 2 usage error (a flag the subcommand or kind does not take included),
@@ -301,19 +302,29 @@ def _evaluate_and_write(args, label: str, evaluate, write) -> int:
     return EXIT_OK
 
 
+def _on_grid(args, xs, ys, label: str, field) -> int:
+    """Evaluate ``field(x, y)`` on the mesh of the axes ``xs`` and ``ys``
+    and write the grid CSV, and the PGM magnitude image where ``--image``
+    is given, through :func:`_evaluate_and_write`. An image path that
+    resolves to the CSV's is refused before anything is evaluated."""
+    image = getattr(args, "image", None)
+    if image and os.path.realpath(image) == os.path.realpath(args.out):
+        raise UsageError(f"--image and --out name the same file: {args.out}")
+
+    def write(values) -> None:
+        _write_grid_csv(args.out, xs, ys, values)
+        if image:
+            _write_pgm(image, values)
+
+    return _evaluate_and_write(args, label, functools.partial(field, xs[:, None], ys[None, :]), write)
+
+
 def cmd_modes(args) -> int:
     xs, ys = _grid_axes(args)
     j, k = args.index
     hg = args.kind == "hg"
     index = _validated(ModeIndex.hg if hg else ModeIndex.lg, j, k)
-
-    def write(values) -> None:
-        _write_grid_csv(args.out, xs, ys, values)
-        if args.image:
-            _write_pgm(args.image, values)
-
-    evaluate = functools.partial(hg_mode if hg else lg_mode, index, xs[:, None], ys[None, :])
-    return _evaluate_and_write(args, f"modes {args.kind} ({j},{k})", evaluate, write)
+    return _on_grid(args, xs, ys, f"modes {args.kind} ({j},{k})", functools.partial(hg_mode if hg else lg_mode, index))
 
 
 def cmd_wigner_grid(args) -> int:
@@ -321,13 +332,11 @@ def cmd_wigner_grid(args) -> int:
     _validated(ModeIndex.lg, j, k)
     xs, ys = _grid_axes(args)
     if args.kind == "hermite":
-        evaluate = functools.partial(wigner_hermite_closed, j, k, xs[:, None], ys[None, :])
+        field = functools.partial(wigner_hermite_closed, j, k)
     else:
         _require_coordinates(xi1=args.xi1, xi2=args.xi2)
-        point = PhasePoint4(xs[:, None], ys[None, :], args.xi1, args.xi2)
-        evaluate = functools.partial(wigner_lg_diag, j, k, point)
-    write = functools.partial(_write_grid_csv, args.out, xs, ys)
-    return _evaluate_and_write(args, f"wigner {args.kind} ({j},{k})", evaluate, write)
+        field = lambda x, y: wigner_lg_diag(j, k, PhasePoint4(x, y, args.xi1, args.xi2))
+    return _on_grid(args, xs, ys, f"wigner {args.kind} ({j},{k})", field)
 
 
 def cmd_wigner_points(args) -> int:
@@ -349,13 +358,10 @@ def cmd_beam(args) -> int:
     _require_coordinates(z=args.z)
     _validated(beam_geometry, params, args.z)
 
-    def evaluate():
-        r = np.hypot(xs[:, None], ys[None, :])
-        phi = np.arctan2(ys[None, :], xs[:, None])
-        return beam_field(index, params, r, phi, args.z)
+    def field(x, y):
+        return beam_field(index, params, np.hypot(x, y), np.arctan2(y, x), args.z)
 
-    write = functools.partial(_write_grid_csv, args.out, xs, ys)
-    return _evaluate_and_write(args, f"beam (p={index.p}, ell={index.ell}) at z={args.z}", evaluate, write)
+    return _on_grid(args, xs, ys, f"beam (p={index.p}, ell={index.ell}) at z={args.z}", field)
 
 
 def cmd_verify(args) -> int:

@@ -5,13 +5,22 @@ Each suite draws its sample points from a seeded generator, so a report
 is reproducible from ``(suite, seed)``. Each suite runs at one size, its
 documented limits. Every check is declared once, in the table
 ``_SUITES`` at the end of the module: its suite, its name, its position
-in the suite and its tolerance. The tolerances are fixed per check from
-the quadrature error budget: 1e-10 to 1e-12 where only closed forms and
-spectrally accurate quadrature meet, loosened to 1e-6 where the sampled
-rotate-plus-FFT grid or the two-dimensional oracle enter. The
-intertwining checks take their partials under the integral, so no check
-here differences numerically; they keep a 1e-6 gate, and their accuracy
-shows as margin. A suite returns its check bodies in table order, and
+in the suite and its tolerance. The tolerances, 1e-12 to 1e-5, are
+declared there and nowhere else: 1e-12 to 1e-10 for ``hermiticity``,
+``hermite_orthonormality``, ``lg_mode_equals_hermite_closed``,
+``fixed_point_quadrature``, the two diagonal consistencies and
+``gouy_at_rayleigh``; 1e-9 to 1e-7 for the ten other closed-form or
+quadrature checks (the two marginals, ``total_integral``,
+``moyal_kronecker``, ``lg_mode_orthonormality``,
+``hermite_closed_vs_quadrature``, ``extended_wigner_maps_hg_to_lg``,
+``polarization_identity`` and the two beam profile checks); 1e-6 for the
+intertwining, two-dimensional oracle, ``wtilde_inner_products``,
+rotate-plus-FFT fixed-point and Parseval, and weyl checks; 1e-5 for
+``rotfft_maps_hg_to_lg``. They come from an older error budget and sit
+orders of magnitude above the errors the checks reach, which shows as
+margin; ROADMAP item 10 plans one rule for them. No check here
+differences numerically: the intertwining checks take their partials
+under the integral. A suite returns its check bodies in table order, and
 :func:`run_suite` alone names and times them. Every body returns the
 array of deviations it compared, and :func:`_timed` alone reduces them
 to a :class:`CheckResult`, so a NaN deviation always fails its check.
@@ -229,6 +238,13 @@ def _all_pairs(deg: int, trailing: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return d.reshape((-1, 1) + tail), d.reshape((1, -1) + tail)
 
 
+def _pair_grid(deg: int, xs, xis) -> np.ndarray:
+    """``out[m, n] = W(h_m, h_n)`` on the grid ``xs`` by ``xis`` for every
+    pair ``m, n <= deg``: one oracle call, sized for degree ``2 deg``."""
+    m, n = _all_pairs(deg)
+    return wigner1d_grid(_h_stack(m), _h_stack(n), xs, xis, _sized(2 * deg, xis))
+
+
 def _gram(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted Gram matrix ``sum conj(a) w b`` of the fields in ``stack``.
 
@@ -308,8 +324,7 @@ def _suite_properties(seed: int) -> tuple:
 
     def xi_marginal():
         xs = rng.uniform(-2.0, 2.0, size=4)
-        m, n = _all_pairs(deg)
-        lhs = wigner1d_grid(_h_stack(m), _h_stack(n), xs, p_axis, _sized(2 * deg, p_axis)) @ p_w
+        lhs = _pair_grid(deg, xs, p_axis) @ p_w
         h = hermite_function_table(deg, xs / SQRT2)
         return lhs - np.sqrt(2 * np.pi) * h[:, None] * h[None, :]
 
@@ -317,8 +332,8 @@ def _suite_properties(seed: int) -> tuple:
         # five points to xi_marginal's four, so a swap of the two bodies
         # changes both checks' sample counts
         xis = rng.uniform(-2.0, 2.0, size=5)
+        lhs = p_w @ _pair_grid(deg, p_axis, xis)
         m, n = _all_pairs(deg)
-        lhs = p_w @ wigner1d_grid(_h_stack(m), _h_stack(n), p_axis, xis, _sized(2 * deg, xis))
         # Fourier transform of each mode is itself times (-i)**degree, so
         # pair (m, n) picks up i**m (-i)**n = i**(m - n)
         phase = 1j ** ((m - n) % 4)
@@ -326,9 +341,7 @@ def _suite_properties(seed: int) -> tuple:
         return lhs - np.sqrt(2 * np.pi) * phase[..., None] * h[:, None] * h[None, :]
 
     def total_integral():
-        m, n = _all_pairs(deg)
-        grids = wigner1d_grid(_h_stack(m), _h_stack(n), p_axis, p_axis, _sized(2 * deg, p_axis))
-        totals = grids @ p_w @ p_w
+        totals = _pair_grid(deg, p_axis, p_axis) @ p_w @ p_w
         return totals - 2.0 * np.sqrt(np.pi) * np.eye(deg + 1)
 
     return hermiticity, xi_marginal, x_marginal, total_integral
@@ -342,9 +355,7 @@ def _suite_moyal(seed: int) -> tuple:
         axis, w = _product_spec(2 * deg).grid()
         # row (a, b) holds W(h_a, h_b) flattened, so the weighted Gram
         # matrix of the rows must be the identity on index pairs
-        a, b = _all_pairs(deg)
-        grids = wigner1d_grid(_h_stack(a), _h_stack(b), axis, axis, _sized(2 * deg, axis))
-        gram = _gram(grids, np.outer(w, w))
+        gram = _gram(_pair_grid(deg, axis, axis), np.outer(w, w))
         return gram - np.eye(len(gram))
 
     return (moyal,)
@@ -424,9 +435,7 @@ def _suite_closedforms(seed: int) -> tuple:
     pairs = _all_pairs(cap, 2)
 
     def closed_vs_quadrature():
-        m, n = _all_pairs(cap)
-        oracle = wigner1d_grid(_h_stack(m), _h_stack(n), xs, xs, _sized(2 * cap, xs))
-        return oracle - wigner_hermite_closed(*pairs, mesh_x, mesh_y)
+        return _pair_grid(cap, xs, xs) - wigner_hermite_closed(*pairs, mesh_x, mesh_y)
 
     def lg_equals_closed():
         return _lg_modes(*pairs, mesh_x, mesh_y) - wigner_hermite_closed(*pairs, mesh_x, mesh_y)

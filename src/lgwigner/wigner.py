@@ -358,8 +358,12 @@ def wigner2d(f, g, point: PhasePoint4, quad: QuadratureSpec | None = None) -> co
     a few thousand with :meth:`QuadratureSpec.for_degree` (degree
     j + k + m + n for LG pairs (j, k), (m, n), reach max(|xi1|, |xi2|)).
     The phase factor is separable, so it is applied as two weighted
-    vectors around the field products.
+    vectors around the field products. A coordinate of ``point`` that
+    holds other than one value raises ValueError naming it.
     """
+    for name in ("x1", "x2", "xi1", "xi2"):
+        if np.size(getattr(point, name)) != 1:
+            raise ValueError(f"{name} must hold one value: wigner2d takes one phase-space point")
     quad = _check_quad(quad)
     p, w = quad.grid()
     p1 = p[:, None]

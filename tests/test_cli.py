@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from lgwigner import cli
+from lgwigner.beam import BeamIndex, BeamParams, beam_field
 from lgwigner.modes import ModeIndex, hg_mode, lg_mode
-from lgwigner.wigner import PhasePoint4, wigner_hermite_closed, wigner_hg_closed, wigner_lg_closed
+from lgwigner.wigner import PhasePoint4, wigner_hermite_closed, wigner_hg_closed, wigner_lg_closed, wigner_lg_diag
 
 try:
     from hypothesis import given, settings
@@ -72,6 +73,55 @@ def test_modes_image_deterministic(tmp_path):
     assert data1 == data2
     assert data1.startswith(b"P5\n32 32\n255\n")
     assert len(data1) == len(b"P5\n32 32\n255\n") + 32 * 32
+
+
+@pytest.mark.parametrize("spelling", ["dotted", "symlink"])
+def test_modes_refuses_an_image_path_that_is_the_csv(tmp_path, capsys, spelling):
+    out = tmp_path / "same.csv"
+    if spelling == "dotted":
+        (tmp_path / "sub").mkdir()
+        image = tmp_path / "sub" / ".." / "same.csv"
+    else:
+        image = tmp_path / "link.pgm"
+        image.symlink_to(out)
+    argv = ["modes", "lg", "--index", "1", "0", "--nx", "8", "--ny", "8", "--out", str(out), "--image", str(image)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--image and --out name the same file" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["modes", "hg", "--index", "3", "2"], lambda x, y: hg_mode(ModeIndex.hg(3, 2), x, y)),
+        (["modes", "lg", "--index", "2", "3"], lambda x, y: lg_mode(ModeIndex.lg(2, 3), x, y)),
+        (["wigner", "hermite", "--indices", "4", "1"], lambda x, y: wigner_hermite_closed(4, 1, x, y)),
+        (
+            ["wigner", "lg_diag", "--indices", "2", "1", "--xi1", "0.5", "--xi2=-0.25"],
+            lambda x, y: wigner_lg_diag(2, 1, PhasePoint4(x, y, 0.5, -0.25)),
+        ),
+        # pins the CLI to beam_field as it is, whatever its phase for ell < 0
+        (
+            ["beam", "--index", "2", "-3", "--w0", "1.0", "--k", "10.0", "--z", "0.5"],
+            lambda x, y: beam_field(BeamIndex(2, -3), BeamParams(1.0, 10.0), np.hypot(x, y), np.arctan2(y, x), 0.5),
+        ),
+    ],
+    ids=["modes_hg", "modes_lg", "wigner_hermite", "wigner_lg_diag", "beam"],
+)
+def test_grid_subcommands_write_the_library_values_on_their_mesh(tmp_path, argv, field):
+    out = tmp_path / "grid.csv"
+    grid = ["--xmin=-3", "--xmax", "2.5", "--nx", "7", "--ymin=-1.5", "--ymax", "3", "--ny", "5"]
+    assert cli.main([*argv, *grid, "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert header == ["x", "y", "re", "im"]
+    xs, ys = np.linspace(-3.0, 2.5, 7), np.linspace(-1.5, 3.0, 5)
+    table = np.array(rows)
+    assert np.array_equal(table[:, :2], np.stack(np.meshgrid(xs, ys, indexing="ij"), -1).reshape(-1, 2))
+    want = np.asarray(field(xs[:, None], ys[None, :]), dtype=complex).ravel()
+    # bit for bit, the sign of a zero included
+    assert np.array_equal(table[:, 2:].view(np.int64), np.stack([want.real, want.imag], -1).view(np.int64))
 
 
 def test_wigner_hermite_grid(tmp_path):

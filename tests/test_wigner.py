@@ -470,6 +470,21 @@ def test_wigner2d_separable_phase_matches_full_phase():
         assert abs(wigner2d(f, g, pt) - want) <= 1e-15
 
 
+@pytest.mark.parametrize("name", ["x1", "x2", "xi1", "xi2"])
+def test_wigner2d_refuses_a_point_holding_more_than_one_value(name):
+    # as many values as the rule has nodes broadcast against the node
+    # axes without an error, so the sum mixed the points' integrands
+    quad = QuadratureSpec.for_degree(2)
+    coords = dict(x1=0.3, x2=-0.5, xi1=1.1, xi2=0.7)
+    one = wigner2d(_lg(1, 0), _lg(0, 1), PhasePoint4(**coords), quad)
+    many = {**coords, name: np.linspace(-1.0, 1.0, quad.nodes)}
+    with pytest.raises(ValueError, match=f"^{name} must hold one value"):
+        wigner2d(_lg(1, 0), _lg(0, 1), PhasePoint4(**many), quad)
+    # a one-element coordinate is one point, with the scalar's bits
+    single = {**coords, name: np.array([coords[name]])}
+    assert wigner2d(_lg(1, 0), _lg(0, 1), PhasePoint4(**single), quad) == one
+
+
 def test_wigner_hermite_closed_values_and_symmetry():
     for x, y in [(0.0, 0.0), (0.6, -1.4)]:
         want = np.pi**-0.5 * np.exp(-0.5 * (x * x + y * y))
