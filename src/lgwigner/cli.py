@@ -28,7 +28,8 @@ on stderr and changes nothing else.
 
 Every CSV float is written as the bytes of its ``repr``, the shortest
 decimal that round-trips. A CSV file's bytes are the same whatever the
-CPU count, and whether or not a forked writer could be started.
+CPU count, and whether or not a forked writer could be started or
+finished its rows.
 """
 
 from __future__ import annotations
@@ -144,20 +145,14 @@ def _worker_count(rows: int) -> int:
 
 def _format_in_child(out, write_rows, start: int, stop: int) -> None:
     """In a forked child: write rows [start, stop) to the binary file
-    ``out`` and end the process with exit code 0, or with ``EXIT_IO`` (an
-    OSError) or ``EXIT_INTERNAL`` (anything else) and the error's one-line
-    summary in place of the rows. Never returns."""
-    code = EXIT_INTERNAL
+    ``out`` and end the process with exit code 0, or with 1 on any error.
+    Never returns."""
     try:
         write_rows(out, start, stop)
         out.flush()  # os._exit flushes nothing
-        code = EXIT_OK
-    except BaseException as exc:  # reported through the exit code: a child never returns
-        code = EXIT_IO if isinstance(exc, OSError) else EXIT_INTERNAL
-        os.ftruncate(out.fileno(), 0)
-        os.pwrite(out.fileno(), "".join(traceback.format_exception_only(exc)).strip().encode(), 0)
+        os._exit(EXIT_OK)
     finally:
-        os._exit(code)
+        os._exit(1)
 
 
 def _write_csv(path: str, header: bytes, values, columns) -> None:
@@ -168,19 +163,21 @@ def _write_csv(path: str, header: bytes, values, columns) -> None:
     Formatting dominates a large file, so the rows are split into
     ``_worker_count(rows)`` contiguous chunks: one per usable CPU (the CPU
     affinity, or the CPU count where that is missing), at most one per
-    ``_ROWS_PER_WORKER`` rows, so small files stay in one process. The
-    parent writes chunk 0 straight into ``path``; each other chunk is
-    written by an ``os.fork``ed child into an unlinked temporary file and
-    appended in order after every child has been reaped. When a chunk's
-    temporary file or its fork fails with an OSError (under a process
-    limit, say), no further child is started, and the parent writes the
-    rows from that chunk on after the children's chunks: the bytes are
-    the same. A child only formats floats and writes, and makes no BLAS
-    call; it ends with ``os._exit``, so it neither flushes the parent's
-    buffered output nor runs exit handlers. From Python 3.12, forking a
-    process that has BLAS threads emits a ``DeprecationWarning``. A
-    child's failure is raised here as an OSError (exit 3) when the
-    child's error was one, and as a RuntimeError (exit 4) otherwise.
+    ``_ROWS_PER_WORKER`` rows, so small files stay in one process. Each
+    chunk past the first goes to an ``os.fork``ed child, which writes it
+    into an unlinked temporary file, until a temporary file or a fork
+    fails with an OSError (under a process limit, say); then no further
+    child is started. The parent writes chunk 0 straight into ``path``,
+    reaps every child, and appends chunks 1 on in order: one rule serves
+    every chunk. A chunk is copied from its child's file where that child
+    exited 0, and is otherwise formatted by the parent itself, whether no
+    child took it or its child failed or died. So the children only save
+    time: the bytes are the same either way, and an error the parent
+    meets while formatting is raised as in one process. A child only
+    formats floats and writes, and makes no BLAS call; it ends with
+    ``os._exit``, so it neither flushes the parent's buffered output nor
+    runs exit handlers. From Python 3.12, forking a process that has BLAS
+    threads emits a ``DeprecationWarning``.
     """
 
     def write_rows(out, start: int, stop: int) -> None:
@@ -193,30 +190,27 @@ def _write_csv(path: str, header: bytes, values, columns) -> None:
     bounds = [rows * w // workers for w in range(workers + 1)]
     with open(path, "wb") as fh, contextlib.ExitStack() as temps:
         fh.write(header)
-        children = []
+        children = {}  # first row of a chunk -> (pid, temporary file)
         try:
             for start, stop in zip(bounds[1:-1], bounds[2:]):
                 try:
                     out = temps.enter_context(tempfile.TemporaryFile())
                     pid = os.fork()
-                except OSError:  # the children only save time: the parent writes the rest
+                except OSError:  # no further child: the parent writes the rest
                     break
                 if pid == 0:
                     _format_in_child(out, write_rows, start, stop)
-                children.append((pid, out, start, stop))
+                children[start] = (pid, out)
             write_rows(fh, 0, bounds[1])
         finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, *_ in children]
-        for code, (_, out, start, stop) in zip(codes, children):
-            if code != EXIT_OK:
-                out.seek(0)
-                reason = out.read(4096).decode(errors="replace") if code in (EXIT_IO, EXIT_INTERNAL) else ""
-                message = f"formatting CSV rows {start}-{stop - 1} failed (exit status {code}): {reason}"
-                raise (OSError if code == EXIT_IO else RuntimeError)(message)
-        for _, out, *_ in children:
-            out.seek(0)
-            shutil.copyfileobj(out, fh, 1 << 20)
-        write_rows(fh, bounds[len(children) + 1], rows)
+            # a wait status of 0 is an exit with code 0
+            delivered = {start: out for start, (pid, out) in children.items() if os.waitpid(pid, 0)[1] == 0}
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            if start in delivered:
+                delivered[start].seek(0)
+                shutil.copyfileobj(delivered[start], fh, 1 << 20)
+            else:
+                write_rows(fh, start, stop)
 
 
 def _write_grid_csv(path: str, xs, ys, values) -> None:
@@ -306,10 +300,17 @@ def _on_grid(args, xs, ys, label: str, field) -> int:
     """Evaluate ``field(x, y)`` on the mesh of the axes ``xs`` and ``ys``
     and write the grid CSV, and the PGM magnitude image where ``--image``
     is given, through :func:`_evaluate_and_write`. An image path that
-    resolves to the CSV's is refused before anything is evaluated."""
+    is the CSV's file (a hard link to it included) or, where either does
+    not exist yet, resolves to the CSV's path is refused before anything
+    is evaluated."""
     image = getattr(args, "image", None)
-    if image and os.path.realpath(image) == os.path.realpath(args.out):
-        raise UsageError(f"--image and --out name the same file: {args.out}")
+    if image:
+        try:
+            same = os.path.samefile(image, args.out)
+        except OSError:  # not both exist
+            same = os.path.realpath(image) == os.path.realpath(args.out)
+        if same:
+            raise UsageError(f"--image and --out name the same file: {args.out}")
 
     def write(values) -> None:
         _write_grid_csv(args.out, xs, ys, values)

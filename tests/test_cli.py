@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -75,21 +76,28 @@ def test_modes_image_deterministic(tmp_path):
     assert len(data1) == len(b"P5\n32 32\n255\n") + 32 * 32
 
 
-@pytest.mark.parametrize("spelling", ["dotted", "symlink"])
+@pytest.mark.parametrize("spelling", ["dotted", "symlink", "hardlink"])
 def test_modes_refuses_an_image_path_that_is_the_csv(tmp_path, capsys, spelling):
     out = tmp_path / "same.csv"
     if spelling == "dotted":
         (tmp_path / "sub").mkdir()
         image = tmp_path / "sub" / ".." / "same.csv"
-    else:
+    elif spelling == "symlink":
         image = tmp_path / "link.pgm"
         image.symlink_to(out)
+    else:  # a hard link needs the CSV to exist already
+        out.write_bytes(b"prior bytes\n")
+        image = tmp_path / "link.pgm"
+        os.link(out, image)
     argv = ["modes", "lg", "--index", "1", "0", "--nx", "8", "--ny", "8", "--out", str(out), "--image", str(image)]
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert "--image and --out name the same file" in captured.err
     assert captured.out == ""
-    assert not out.exists()
+    if spelling == "hardlink":
+        assert out.read_bytes() == b"prior bytes\n"
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -855,7 +863,7 @@ else:
         _assert_no_child_left()
 
 
-@pytest.mark.parametrize("workers, fail_in", [(2, "child"), (2, "parent"), (1, "parent")])
+@pytest.mark.parametrize("workers", [2, 1])
 @pytest.mark.parametrize(
     "error, code, message",
     [
@@ -864,14 +872,16 @@ else:
     ],
 )
 def test_a_failing_writer_exits_as_one_process_does_and_leaves_no_child(
-    tmp_path, monkeypatch, capsys, workers, fail_in, error, code, message
+    tmp_path, monkeypatch, capsys, workers, error, code, message
 ):
+    """The parent's own formatting fails: the exit code and message are
+    those of one process, whatever the children did."""
     _force_workers(monkeypatch, workers)
     parent = os.getpid()
     csv_lines = cli._csv_lines
 
     def failing(coords, values):
-        if (os.getpid() == parent) == (fail_in == "parent"):
+        if os.getpid() == parent:
             raise error
         return csv_lines(coords, values)
 
@@ -881,35 +891,62 @@ def test_a_failing_writer_exits_as_one_process_does_and_leaves_no_child(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message) and str(error) in captured.err
-    if fail_in == "child":
-        assert "formatting CSV rows 8-15 failed" in captured.err
     _assert_no_child_left()
+
+
+def _fail_here(how):
+    """Raise a ValueError or an OSError (ENOSPC), or die by SIGKILL."""
+    if how == "SIGKILL":
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise ValueError("formatting bug") if how == "ValueError" else OSError(errno.ENOSPC, "No space left on device")
 
 
 @pytest.mark.parametrize(
     "failing, call",
-    [("fork", 1), ("fork", 2), ("TemporaryFile", 1), ("TemporaryFile", 2)],
+    [
+        ("fork", 1), ("fork", 2), ("TemporaryFile", 1), ("TemporaryFile", 2),
+        ("ValueError", 1), ("OSError", 2), ("SIGKILL", 1),
+    ],
 )
 def test_a_failed_fork_leaves_the_rows_to_the_parent(tmp_path, monkeypatch, capsys, failing, call):
     """Three chunks of five rows, the first boundary inside an x row: the
-    ``call``-th fork or temporary file fails, and the parent writes the
-    chunks that no child took after those that one did."""
+    ``call``-th fork or temporary file fails, or the child of the
+    ``call``-th fork raises or is killed while it formats its rows. Either
+    way the parent formats each chunk that no child delivered, in its
+    place among those the other child did."""
     _force_workers(monkeypatch, 3)
-    module = os if failing == "fork" else cli.tempfile
-    real = getattr(module, failing)
+    parent = os.getpid()
     calls = []
+    if failing in ("fork", "TemporaryFile"):
+        module = os if failing == "fork" else cli.tempfile
+        real = getattr(module, failing)
 
-    def fails_once(*args):
-        calls.append(os.getpid())
-        if len(calls) == call:
-            raise OSError(errno.EAGAIN if failing == "fork" else errno.EMFILE, "refused for the test")
-        return real(*args)
+        def fails_once(*args):
+            calls.append(os.getpid())
+            if len(calls) == call:
+                raise OSError(errno.EAGAIN if failing == "fork" else errno.EMFILE, "refused for the test")
+            return real(*args)
 
-    monkeypatch.setattr(module, failing, fails_once)
+        monkeypatch.setattr(module, failing, fails_once)
+    else:
+        calls, formatted = _count_forks(monkeypatch), []
+        csv_lines = cli._csv_lines
+
+        def fails_in_child(coords, values):
+            if os.getpid() == parent:
+                formatted.append(len(values))
+            elif len(calls) == call:  # the call-th fork's child
+                _fail_here(failing)
+            return csv_lines(coords, values)
+
+        monkeypatch.setattr(cli, "_csv_lines", fails_in_child)
     out = tmp_path / "o.csv"
     assert cli.main(["modes", "lg", "--index", "2", "1", "--nx", "5", "--ny", "3", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    assert calls == [os.getpid()] * call
+    if failing in ("fork", "TemporaryFile"):
+        assert calls == [parent] * call
+    else:  # chunk 0 and the failed child's chunk; the other child's is copied
+        assert calls == [parent] * 2 and formatted == [5, 5]
     xs, ys = np.linspace(-4.0, 4.0, 5), np.linspace(-4.0, 4.0, 3)
     assert out.read_bytes() == _reference_grid_csv(xs, ys, lg_mode(ModeIndex.lg(2, 1), xs[:, None], ys[None, :]))
     _assert_no_child_left()
