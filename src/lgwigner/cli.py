@@ -258,7 +258,8 @@ def _read_points_file(path: str) -> np.ndarray:
     """The (n, 4) float array of the points of a UTF-8 points file, one
     line ``x1,x2,xi1,xi2`` each, every value finite and within the
     coordinate limit; a leading byte-order mark is dropped, and LF or
-    CRLF may end a line."""
+    CRLF may end a line. A data line that is not ASCII or holds ``_`` is
+    refused."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -270,7 +271,8 @@ def _read_points_file(path: str) -> np.ndarray:
         if not line or (lineno == 1 and line == _POINTS_HEADER):
             continue
         try:
-            point = list(map(float, line.split(",")))
+            # float() would also take "1_0" and non-ASCII digits or spaces
+            point = list(map(float, line.split(","))) if raw.isascii() and "_" not in raw else []
         except ValueError:
             point = []
         if len(point) != 4 or not all(abs(v) <= _COORD_LIMIT for v in point):

@@ -20,7 +20,10 @@ rotate-plus-FFT fixed-point and Parseval, and weyl checks; 1e-5 for
 orders of magnitude above the errors the checks reach, which shows as
 margin; ROADMAP item 10 plans one rule for them. No check here
 differences numerically: the intertwining checks take their partials
-under the integral. A suite returns its check bodies in table order, and
+under the integral. The four of them share one point set and three
+oracle calls, the transformed HG stack and its two partials; each check
+forms its circular side from those and reads its index-rule side from
+the stack. A suite returns its check bodies in table order, and
 :func:`run_suite` alone names and times them. Every body returns the
 array of deviations it compared, and :func:`_timed` alone reduces them
 to a :class:`CheckResult`, so a NaN deviation always fails its check.
@@ -255,17 +258,6 @@ def _gram(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (np.conj(rows) * weights.ravel()) @ rows.T
 
 
-def _draws(rng, count: int, nints: int, high: int, nreals: int):
-    """``count`` samples, each ``nints`` integers in [0, high) and then
-    ``nreals`` uniforms in [-2, 2], drawn from ``rng`` in that order and
-    returned as two arrays of ``count`` rows."""
-    draws = [
-        (rng.integers(0, high, size=nints), rng.uniform(-2.0, 2.0, size=nreals))
-        for _ in range(count)
-    ]
-    return np.array([i for i, _ in draws]), np.array([r for _, r in draws])
-
-
 def _superposition_1d(coeffs: np.ndarray):
     """Field of a stack of superpositions: ``out[b] = sum c[b, j] h_j(t[b])``
     for coefficient rows ``c[b]`` and the matching rows ``t[b]`` of ``t``."""
@@ -387,45 +379,45 @@ _INTERTWINE_PAIRS = (
 )
 
 
-def _transformed_hg(cap: int, ys):
-    """Field ``out[j, k] = Wt(h_j (x) h_k)(x, y)`` for every ``j, k <= cap``,
-    sized for ``|y| <= max |ys|``, with its partials taken under the
-    integral.
+def _suite_intertwine(seed: int) -> tuple:
+    """The four checks share one point set and three oracle calls, each
+    made once and charged to the first check: Wt(h_j (x) h_k) for every
+    ``j, k <= cap + 1``, which holds every ladder target, and its two
+    partials under the integral for ``j, k <= cap``.
 
     With the compressed arguments u, v = (x +- p)/sqrt2, d/dx moves both
     by 1/sqrt2 and d/dy brings down i p = i (u - v)/sqrt2. Both partial
-    integrands are Hermite expansions of degree 2 cap + 1. The integrands
-    come from the ladder layer's HG basis field, so its partials kernel is
-    the one under the integral.
+    integrands are Hermite expansions of degree 2 cap + 1. They come from
+    the ladder layer's HG basis field, so its partials kernel is the one
+    under the integral.
     """
+    cap, npts = 4, 50
+    xs, ys = np.random.default_rng([seed, 4]).uniform(-2.0, 2.0, size=(npts, 2)).T
     # the quanta stack ahead of the 2-D integrand points
     F = _BasisField(*_all_pairs(cap, 2), _hg_modes, _hg_partial)
-    quad, dquad = _sized(2 * cap, ys), _sized(2 * cap + 1, ys)
 
+    def shared(integrand, degree):
+        return functools.cache(lambda: extended_wigner(integrand, xs, ys, _sized(degree, ys)))
+
+    value = shared(_hg_stack(*_all_pairs(cap + 1)), 2 * cap + 2)
+    dx = shared(lambda u, v: (F.partial_x(u, v) + F.partial_y(u, v)) / SQRT2, 2 * cap + 1)
+    dy = shared(lambda u, v: 1j * (u - v) / SQRT2 * F(u, v), 2 * cap + 1)
+
+    # called only at (xs, ys), by apply_operator_pointwise below
     def field(x, y):
-        return extended_wigner(F, x, y, quad)
+        return value()[: cap + 1, : cap + 1]
 
-    field.partial_x = lambda x, y: extended_wigner(
-        lambda u, v: (F.partial_x(u, v) + F.partial_y(u, v)) / SQRT2, x, y, dquad
-    )
-    field.partial_y = lambda x, y: extended_wigner(lambda u, v: 1j * (u - v) / SQRT2 * F(u, v), x, y, dquad)
-    return field
+    field.partial_x = lambda x, y: dx()
+    field.partial_y = lambda x, y: dy()
 
-
-def _suite_intertwine(seed: int) -> tuple:
-    cap, npts = 4, 50
-
-    def one_pair(tag, circ_op, cart_op):
-        rng = np.random.default_rng([seed, 4, tag])
-        xs, ys = rng.uniform(-2.0, 2.0, size=(npts, 2)).T
-        lhs = apply_operator_pointwise(circ_op, _transformed_hg(cap, ys), xs, ys)
+    def check(circ_op, cart_op):
+        lhs = apply_operator_pointwise(circ_op, field, xs, ys)
         # index-space action on every HG(j, k) at once; an annihilated
         # mode has coefficient 0 and keeps its indices as its target
         coeff, tj, tk = _ladder_action(cart_op, *_all_pairs(cap))
-        rhs_quad = _sized((tj + tk).max(), ys)
-        return lhs - coeff[..., None] * extended_wigner(_hg_stack(tj, tk), xs, ys, rhs_quad)
+        return lhs - coeff[..., None] * value()[tj, tk]
 
-    return tuple(functools.partial(one_pair, tag, *ops) for tag, ops in enumerate(_INTERTWINE_PAIRS))
+    return tuple(functools.partial(check, *ops) for ops in _INTERTWINE_PAIRS)
 
 
 def _suite_closedforms(seed: int) -> tuple:
@@ -434,11 +426,14 @@ def _suite_closedforms(seed: int) -> tuple:
     mesh_x, mesh_y = xs[:, None], xs[None, :]
     pairs = _all_pairs(cap, 2)
 
+    # the two checks share this one closed-form stack, charged to the first
+    closed = functools.cache(lambda: wigner_hermite_closed(*pairs, mesh_x, mesh_y))
+
     def closed_vs_quadrature():
-        return _pair_grid(cap, xs, xs) - wigner_hermite_closed(*pairs, mesh_x, mesh_y)
+        return _pair_grid(cap, xs, xs) - closed()
 
     def lg_equals_closed():
-        return _lg_modes(*pairs, mesh_x, mesh_y) - wigner_hermite_closed(*pairs, mesh_x, mesh_y)
+        return _lg_modes(*pairs, mesh_x, mesh_y) - closed()
 
     def hg_to_lg():
         cap2 = 6
@@ -461,7 +456,7 @@ def _suite_product_theorem(seed: int) -> tuple:
         """Oracle against closed form at ``count`` drawn index quadruples and
         points; one ``wigner2d`` call per point, since it takes one point,
         and one closed-form call with per-point indices."""
-        indices, coords = _draws(rng, count, 4, 4, 4)
+        indices, coords = rng.integers(0, 4, (count, 4)), rng.uniform(-2.0, 2.0, (count, 4))
         oracle = []
         for (j, k, m, n), point in zip(indices.tolist(), coords):
             pt = PhasePoint4(*point)
@@ -473,8 +468,8 @@ def _suite_product_theorem(seed: int) -> tuple:
         """Closed form at (j, k, j, k) against the diagonal form at drawn
         pairs and points; one call of each, with per-point indices."""
         count, cap = 100, 6
-        (j, k), coords = (a.T for a in _draws(rng, count, 2, cap + 1, 4))
-        pt = PhasePoint4(*coords)
+        j, k = rng.integers(0, cap + 1, (2, count))
+        pt = PhasePoint4(*rng.uniform(-2.0, 2.0, (4, count)))
         return closed(j, k, j, k, pt) - diag(j, k, pt)
 
     lg = (lambda j, k: lg_field(ModeIndex.lg(j, k)), wigner_lg_closed, lambda *q: sum(q))
@@ -492,7 +487,8 @@ def _suite_polarization(seed: int) -> tuple:
     cap, npts = 4, 20
 
     def polarization():
-        (n_plus, n_minus), (xs, ys) = (a.T for a in _draws(rng, npts, 2, cap + 1, 2))
+        n_plus, n_minus = rng.integers(0, cap + 1, (2, npts))
+        xs, ys = rng.uniform(-2.0, 2.0, (2, npts))
         points = np.arange(npts)
         factors = np.array([1.0, -1.0, -1j, 1j])[:, None, None]
 

@@ -668,10 +668,11 @@ def test_invalid_user_input_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "0x1p3", "", "1e200", "-1.5e150"])
+# float() reads "1_0" as 10.0 and a full-width "１" as 1.0
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "0x1p3", "", "1e200", "-1.5e150", "1_0", "\uff11"])
 def test_points_file_non_finite_or_malformed_token_exits_2(tmp_path, capsys, token):
     pts = tmp_path / "pts.csv"
-    pts.write_text(f"x1,x2,xi1,xi2\n0.5,0.5,0.5,0.5\n0.5,{token},0.5,0.5\n")
+    pts.write_text(f"x1,x2,xi1,xi2\n0.5,0.5,0.5,0.5\n0.5,{token},0.5,0.5\n", encoding="utf-8")
     out = tmp_path / "never.csv"
     code = cli.main(["wigner", "hg_general", "--indices", "0", "0", "0", "0", "--points", str(pts), "--out", str(out)])
     assert code == 2
